@@ -7,178 +7,20 @@ convergence bounds throughout.
 
 from __future__ import annotations
 
-from .blaschke import (
-    ConvergencePolicy,
-    ConvergenceVerdict,
-    DivergenceCertificate,
-    MergedTailCertificate,
-    ProductSpec,
-    TailCertificate,
-    ZeroSequence,
-    classify_blaschke,
-    convergence_certificate,
-    convergence_factors,
-    eval_blaschke,
-    normalized_factor,
-    orbit_zeros,
-    partial_blaschke_sum,
-    write_orbit_csv,
-)
-from .errors import (
-    AmbiguousClassification,
-    BranchError,
-    DegreeError,
-    DomainError,
-    GeneratorExhausted,
-    GridMismatch,
-    HpisoError,
-    IdentityAmbiguity,
-    IdentityError,
-    NotCertified,
-    PoleError,
-    WrongClass,
-    ZeroCodimension,
-)
-from .hardy import (
-    BoundaryFunction,
-    CompositionConstant,
-    HpContext,
-    IsometrySpec,
-    apply_isometry,
-    composition_constant,
-    hp_norm,
-    random_polynomial,
-    rho_closed_form,
-    verify_isometry,
-    weight_function,
-)
-from .isometries import (
-    CrownoverVerdict,
-    EquivWitness,
-    InfiniteConstruction,
-    InvariantSubspaceReport,
-    codimension,
-    conjugated_spec,
-    construct_nonzero_intersection,
-    construct_zero_intersection,
-    decide_crownover,
-    decide_equivalent,
-    evidence_rows,
-    invariant_subspace_check,
-    truncate_spec,
-    zero_intersection_shift_defect,
-)
-from .moebius import (
-    CanonicalPair,
-    Classification,
-    DiscAutomorphism,
-    Kind,
-    MoebiusMatrix,
-    Orientation,
-    are_conjugate,
-    boundary_points,
-    canonical_pair,
-    circle_points,
-    classify,
-    commutant_element,
-    commutes,
-    compose,
-    disc_translation,
-    eval_auto,
-    find_conjugator,
-    identity,
-    inverse,
-    iterate,
-    parabolic_fixing_one,
-    pointwise_distance,
-    rotation,
-    standard_hyperbolic,
-)
+from . import blaschke, errors, hardy, isometries, moebius
+from .blaschke import *  # noqa: F401,F403 - each module's __all__ is its public API
+from .errors import *  # noqa: F401,F403
+from .hardy import *  # noqa: F401,F403
+from .isometries import *  # noqa: F401,F403
+from .moebius import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # moebius
-    "DiscAutomorphism",
-    "MoebiusMatrix",
-    "Kind",
-    "Orientation",
-    "Classification",
-    "CanonicalPair",
-    "identity",
-    "rotation",
-    "standard_hyperbolic",
-    "parabolic_fixing_one",
-    "disc_translation",
-    "eval_auto",
-    "compose",
-    "inverse",
-    "iterate",
-    "classify",
-    "canonical_pair",
-    "find_conjugator",
-    "are_conjugate",
-    "commutant_element",
-    "commutes",
-    "boundary_points",
-    "circle_points",
-    "pointwise_distance",
-    # blaschke
-    "ZeroSequence",
-    "ProductSpec",
-    "TailCertificate",
-    "DivergenceCertificate",
-    "MergedTailCertificate",
-    "ConvergencePolicy",
-    "ConvergenceVerdict",
-    "normalized_factor",
-    "convergence_factors",
-    "partial_blaschke_sum",
-    "orbit_zeros",
-    "convergence_certificate",
-    "classify_blaschke",
-    "eval_blaschke",
-    "write_orbit_csv",
-    # hardy
-    "HpContext",
-    "BoundaryFunction",
-    "IsometrySpec",
-    "CompositionConstant",
-    "hp_norm",
-    "weight_function",
-    "apply_isometry",
-    "composition_constant",
-    "rho_closed_form",
-    "random_polynomial",
-    "verify_isometry",
-    # isometries
-    "InfiniteConstruction",
-    "CrownoverVerdict",
-    "EquivWitness",
-    "InvariantSubspaceReport",
-    "codimension",
-    "decide_crownover",
-    "evidence_rows",
-    "construct_zero_intersection",
-    "construct_nonzero_intersection",
-    "zero_intersection_shift_defect",
-    "truncate_spec",
-    "conjugated_spec",
-    "invariant_subspace_check",
-    "decide_equivalent",
-    # errors
-    "HpisoError",
-    "DomainError",
-    "PoleError",
-    "AmbiguousClassification",
-    "IdentityError",
-    "GeneratorExhausted",
-    "DegreeError",
-    "GridMismatch",
-    "BranchError",
-    "WrongClass",
-    "ZeroCodimension",
-    "NotCertified",
-    "IdentityAmbiguity",
+    *moebius.__all__,
+    *blaschke.__all__,
+    *hardy.__all__,
+    *isometries.__all__,
+    *errors.__all__,
 ]

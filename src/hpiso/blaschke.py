@@ -14,12 +14,13 @@ explicit terms are known - and evaluates partial products with a rigorous
 truncation error.
 
 All tail certificates bound list-indexed tails: ``tail(m)`` dominates
-``sum_{k >= m} (1 - |a_k|)`` where ``a_k = seq.term(k)``.
+``sum_{k >= m} (1 - |a_k|)`` where ``a_k = seq.term(k)``.  Orbit terms come
+in closed form from the step map's model chart (``orbit_terms``).
 """
 
 from __future__ import annotations
 
-import csv
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,15 +31,11 @@ from .errors import DomainError, GeneratorExhausted, NotCertified
 from .moebius import (
     DiscAutomorphism,
     Kind,
-    _boundary_pair_to_halfplane,
-    _cayley_at,
     _mat_apply,
-    _parabolic_translation_length,
-    canonical_pair,
-    classify,
     eval_auto,
     inverse,
     iterate,
+    model_chart,
 )
 
 __all__ = [
@@ -52,17 +49,23 @@ __all__ = [
     "normalized_factor",
     "convergence_factors",
     "partial_blaschke_sum",
+    "orbit_terms",
     "orbit_zeros",
     "convergence_certificate",
     "classify_blaschke",
     "eval_blaschke",
     "write_orbit_csv",
+    "write_csv_rows",
 ]
 
 #: smallest series length the growth fit will accept
 MIN_FIT_TERMS = 16
 #: smallest n_max accepted by classify_blaschke
 MIN_CLASSIFY_TERMS = 64
+#: hyperbolic chart points below this height are replaced by the fixed point
+#: ``zeta = 0``: deeper powers of the multiplier would be slow subnormal floats
+UNDERFLOW_HEIGHT = 1e-290
+CSV_CHUNK = 4096  # rows formatted per write
 
 
 def normalized_factor(a: complex) -> DiscAutomorphism:
@@ -164,7 +167,7 @@ class ZeroSequence:
         return eval_auto(iterate(step, k), beta)
 
     def terms_up_to(self, n: int) -> list:
-        """The first ``n`` terms, walking orbits iteratively."""
+        """The first ``n`` terms (orbits in closed form, see ``orbit_terms``)."""
         n = int(n)
         if n < 0:
             raise DomainError("term count must be nonnegative")
@@ -174,13 +177,7 @@ class ZeroSequence:
                     f"explicit sequence has {len(self.zeros)} terms, asked for {n}"
                 )
             return list(self.zeros[:n])
-        beta, step = self.start_and_step()
-        out = []
-        cur = beta
-        for _ in range(n):
-            out.append(cur)
-            cur = eval_auto(step, cur)
-        return out
+        return orbit_terms(self, n)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -244,6 +241,53 @@ class TailCertificate:
         extra = 2.0 / (c * c) if peak > m - 1 else 0.0
         return self.constant * (integral + extra)
 
+    def first_index_below(self, target: float) -> int:
+        """Smallest ``m >= 0`` with ``tail(m) < target``.
+
+        ``tail`` does not increase with ``m``, so the index is unique.  The
+        closed-form inverse of ``tail`` (a log for geometric tails, ``tan``
+        for inverse-square ones) lands on it up to rounding, and unit steps
+        of the same ``tail(m) < target`` test settle the last place.  (Far
+        past 10^8 terms the float ``tail`` itself no longer resolves unit
+        steps of an inverse-square tail, and the steps grow in number.)
+        """
+        target = float(target)
+        if not target > 0.0:
+            raise DomainError("target must be positive")
+        if self.tail(0) < target:
+            return 0
+        y = target / self.constant
+        if self.kind == "geometric":
+            q = self.ratio
+            m = 0 if q == 0.0 else math.floor(math.log(y * (1.0 - q)) / math.log(q)) + 1
+        else:
+            # tail(m) / constant = (pi/2 - atan(v_m)) / (|step| c) with
+            # v_m = (sign(step) offset + |step| (m - 1)) / c, plus 2/c^2 while
+            # m - 1 < peak = -offset/step
+            c, t = self.height, abs(self.step)
+            x = math.copysign(1.0, self.step) * self.offset
+
+            def first(y):  # smallest m whose atan part is below y
+                theta = y * t * c
+                if theta <= 0.0:
+                    return math.inf
+                if theta >= math.pi:
+                    return 0
+                return math.floor((c / math.tan(theta) - x) / t) + 2
+
+            past_peak = max(0, math.ceil(1.0 - self.offset / self.step))
+            before_peak = first(y - 2.0 / (c * c))
+            if before_peak < past_peak:
+                m = max(0, before_peak)
+            else:
+                m = max(first(y), past_peak)
+        # unit steps are resolvable in floats only below 2^53
+        while 0 < m <= 2**53 and self.tail(m - 1) < target:
+            m -= 1
+        while m <= 2**53 and self.tail(m) >= target:
+            m += 1
+        return m
+
 
 @dataclass(frozen=True)
 class DivergenceCertificate:
@@ -286,6 +330,48 @@ class MergedTailCertificate:
         return math.fsum(part.tail(m // d) for part in self.parts)
 
 
+def orbit_terms(seq: ZeroSequence, n):
+    """Terms ``a_k`` and gaps ``1 - |a_k|`` for ``k < n`` (or for the indices
+    in the array ``n``) as numpy arrays; explicit sequences give their zeros.
+
+    Orbit terms are closed-form points ``zeta_0 lam^k``, ``zeta_0 s^k`` or
+    ``zeta_0 + k t`` of the step map's ``model_chart``, mapped back in one
+    array-wide Moebius evaluation (``a_0`` is the start point itself).  The
+    gaps come from the exact chart density, free of cancellation near the
+    circle: ``1 - |a|^2 = h(zeta) |det m| / |m_0 - m_2 zeta|^2`` with
+    ``h = 2 Im zeta`` on the half plane, ``1 - |zeta|^2`` on the disc.
+    """
+    if seq.is_explicit:
+        a = np.array(seq.terms_up_to(n), dtype=complex)
+        return a, np.maximum(0.0, 1.0 - np.abs(a))
+    k = np.arange(int(n)) if np.ndim(n) == 0 else np.asarray(n, dtype=np.int64)
+    if (np.ndim(n) == 0 and int(n) < 0) or (k < 0).any():
+        raise DomainError("term count and indices must be nonnegative")
+    beta, step = seq.start_and_step()
+    kind, m, action = model_chart(step)
+    if kind is Kind.IDENTITY:
+        return np.full(k.shape, beta, dtype=complex), np.full(k.shape, 1.0 - abs(beta))
+    zeta0 = _mat_apply(m, beta)
+    if kind is Kind.ELLIPTIC:
+        theta = cmath.phase(action)
+        hi = float(np.float32(theta))  # 24 bits: k * hi is exact for k < 2^29
+        zeta = zeta0 * np.exp(1j * (hi * k)) * np.exp(1j * ((theta - hi) * k))
+        height = (1.0 - abs(zeta0)) * (1.0 + abs(zeta0))
+    elif kind is Kind.HYPERBOLIC:
+        live = k < math.log(UNDERFLOW_HEIGHT / abs(zeta0)) / math.log(action)
+        zeta = np.zeros(k.shape, dtype=complex)
+        zeta[live] = zeta0 * action ** k[live].astype(float)
+        height = 2.0 * zeta.imag
+    else:
+        zeta = zeta0 + action * k
+        height = 2.0 * zeta0.imag
+    den = m[0] - m[2] * zeta
+    a = (m[3] * zeta - m[1]) / den
+    a[k == 0] = beta
+    density = height * abs(m[0] * m[3] - m[1] * m[2]) / (den.real**2 + den.imag**2)
+    return a, density / (1.0 + np.abs(a))
+
+
 def convergence_certificate(seq: ZeroSequence):
     """A tail or divergence certificate for an orbit-generated sequence.
 
@@ -307,35 +393,27 @@ def convergence_certificate(seq: ZeroSequence):
     if seq.is_explicit:
         raise DomainError("certificates exist only for orbit-generated sequences")
     beta, step = seq.start_and_step()
-    if step.is_identity():
+    kind, m, action = model_chart(step)
+    if kind is Kind.IDENTITY:
         return DivergenceCertificate(max(1.0 - abs(beta), 1e-300))
-    cls = classify(step)
+    zeta0 = _mat_apply(m, beta)
 
-    if cls.kind is Kind.ELLIPTIC:
-        pair = canonical_pair(step)
-        u = eval_auto(inverse(pair.eta), beta)
-        rho, c = abs(u), abs(pair.eta.a)
+    if kind is Kind.ELLIPTIC:
+        rho, c = abs(zeta0), abs(m[1])
         delta = (1.0 - rho) * (1.0 - c) / (1.0 + rho * c)
         return DivergenceCertificate(max(delta, 1e-300))
 
-    if cls.kind is Kind.HYPERBOLIC:
-        s = float(cls.multiplier.real if isinstance(cls.multiplier, complex) else cls.multiplier)
-        b = _boundary_pair_to_halfplane(*cls.fixed_points)
-        tau = b[0]
-        zeta0 = _mat_apply(b, beta)
-        K = 4.0 * zeta0.imag / abs(tau.imag)
-        return TailCertificate("geometric", K, ratio=s)
+    if kind is Kind.HYPERBOLIC:
+        K = 4.0 * zeta0.imag / abs(m[0].imag)
+        return TailCertificate("geometric", K, ratio=action)
 
     # parabolic: the orbit is the horizontal walk zeta_0 + t k in the chart
     # at the fixed point, where the term shape is exact
-    w = cls.fixed_points[0]
-    t_len = _parabolic_translation_length(step, w)
-    zeta0 = _mat_apply(_cayley_at(w), beta)
     return TailCertificate(
         "inverse-square",
         4.0 * zeta0.imag,
         offset=zeta0.real,
-        step=t_len,
+        step=action,
         height=zeta0.imag + 1.0,
     )
 
@@ -383,8 +461,7 @@ def partial_blaschke_sum(seq: ZeroSequence, n: int) -> list:
     total = 0.0
     comp = 0.0
     out = []
-    for a in seq.terms_up_to(n):
-        term = max(0.0, 1.0 - abs(a))
+    for term in orbit_terms(seq, n)[1].tolist():
         t = total + term
         if abs(total) >= abs(term):
             comp += (total - t) + term
@@ -536,7 +613,8 @@ def eval_blaschke(spec_or_seq, z: complex, n_terms: int = 128):
     Returns ``(value, tail_bound)`` with ``value = prod_{k < N} lam_k b_k(z)``
     and ``|B(z) - value| <= tail_bound``, using the factor estimate
     ``|1 - lam_k b_k(z)| <= 2 (1 - |a_k|) / (1 - |z|)`` and the certified
-    (or, for explicit sequences, exactly summed) tail of ``sum (1 - |a_k|)``.
+    (or, for explicit sequences, exactly summed) tail of ``sum (1 - |a_k|)``;
+    factors that this estimate puts within ``2^-54`` of 1 are taken as 1.
     Requires ``|z| < 1``; divergent orbit sequences raise ``NotCertified``.
     """
     seq = _zero_sequence_of(spec_or_seq)
@@ -561,13 +639,12 @@ def eval_blaschke(spec_or_seq, z: complex, n_terms: int = 128):
         n = n_terms
         remaining = cert.tail(n)
 
-    value = 1.0 + 0.0j
-    for a in seq.terms_up_to(n):
-        a = complex(a)
-        if a == 0:
-            value *= z
-        else:
-            value *= (-a.conjugate() / abs(a)) * (z - a) / (1.0 - a.conjugate() * z)
+    a, gap = orbit_terms(seq, n)
+    mod = np.abs(a)
+    lam = np.divide(-np.conj(a), mod, out=np.ones_like(a), where=mod > 0.0)
+    factors = lam * (z - a) / (1.0 - np.conj(a) * z)
+    factors[2.0 * gap <= 2.0**-54 * (1.0 - abs(z))] = 1.0  # 1 to working precision
+    value = complex(np.prod(factors))
     tail_bound = abs(value) * 2.0 * remaining / (1.0 - abs(z))
     return value, tail_bound
 
@@ -580,23 +657,30 @@ def write_orbit_csv(file, seq: ZeroSequence, n: int) -> float:
     """Write the first ``n`` terms as CSV: n, re_b, im_b, one_minus_abs, partial_sum.
 
     The ``n`` column uses the mathematical index (``k + seq.index_offset``);
-    ``partial_sum`` accumulates ``one_minus_abs``.  Lines end with LF.
-    Returns the final partial sum.
+    see ``write_csv_rows``.  Returns the final partial sum.
     """
-    terms = seq.terms_up_to(n)
+    a, gap = orbit_terms(seq, n)
+    return write_csv_rows(file, a, gap, seq.index_offset)
+
+
+def write_csv_rows(file, zeros, gaps, first: int = 0) -> float:
+    """Write orbit CSV rows to a path or open text file; returns the last partial sum.
+
+    Columns: n (counting from ``first``), re_b, im_b, one_minus_abs (the
+    ``gaps``), partial_sum (their running sum); floats as ``repr``, LF line
+    ends, formatted ``CSV_CHUNK`` rows at a time.
+    """
+    partial = np.cumsum(gaps)
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    handle = open(file, "w", newline="") if own else file
+    handle = open(file, "w", encoding="utf-8", newline="") if own else file
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "re_b", "im_b", "one_minus_abs", "partial_sum"])
-        running = 0.0
-        for k, b in enumerate(terms):
-            one_minus = max(0.0, 1.0 - abs(b))
-            running += one_minus
-            writer.writerow(
-                [k + seq.index_offset, repr(b.real), repr(b.imag), repr(one_minus), repr(running)]
-            )
+        handle.write("n,re_b,im_b,one_minus_abs,partial_sum\n")
+        for lo in range(0, len(zeros), CSV_CHUNK):
+            cut = slice(lo, lo + CSV_CHUNK)
+            cols = (zeros.real[cut], zeros.imag[cut], gaps[cut], partial[cut])
+            rows = enumerate(zip(*(col.tolist() for col in cols)), first + lo)
+            handle.write("".join(f"{k},{x!r},{y!r},{g!r},{p!r}\n" for k, (x, y, g, p) in rows))
     finally:
         if own:
             handle.close()
-    return running
+    return float(partial[-1]) if len(partial) else 0.0

@@ -16,7 +16,6 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -31,7 +30,6 @@ from .isometries import (
     construct_zero_intersection,
     decide_crownover,
     decide_equivalent,
-    evidence_rows,
     truncate_spec,
 )
 from .moebius import classify, commutant_element, compose, eval_auto, iterate
@@ -100,8 +98,7 @@ def _orbit_sequence(args) -> ZeroSequence:
 def _cmd_orbit(args) -> int:
     seq = _orbit_sequence(args)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            partial = write_orbit_csv(fh, seq, args.n)
+        partial = write_orbit_csv(args.csv, seq, args.n)
         payload = {"rows": args.n, "csv": args.csv, "partial_sum": partial}
         _emit(payload, "orbit_summary", None)
     else:
@@ -111,16 +108,8 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_crownover(args) -> int:
     spec = ser.spec_from_json(_load_json(args.spec))
-    verdict = decide_crownover(spec, args.evidence)
-    csv_path = None
-    if args.out:
-        rows = evidence_rows(spec, args.evidence)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "re_b", "im_b", "one_minus_abs", "partial_sum"])
-            for k, (a, term, total) in enumerate(rows):
-                writer.writerow([k + 1, repr(a.real), repr(a.imag), repr(term), repr(total)])
-        csv_path = args.out
+    csv_path = args.out or None
+    verdict = decide_crownover(spec, args.evidence, csv_path)
     _emit(ser.crownover_verdict_to_json(verdict, csv_path), "crownover_verdict", None)
     return 0
 

@@ -46,15 +46,15 @@ from .blaschke import (
     convergence_certificate,
     convergence_factors,
     normalized_factor,
+    orbit_terms,
     partial_blaschke_sum,
+    write_csv_rows,
 )
 from .hardy import IsometrySpec, weight_function
 from .moebius import (
     MAX_ZERO_MODULUS,
     DiscAutomorphism,
     Kind,
-    _boundary_pair_to_halfplane,
-    _cayley_at,
     _mat_apply,
     circle_points,
     classify,
@@ -65,6 +65,7 @@ from .moebius import (
     find_conjugator,
     identity,
     inverse,
+    model_chart,
     pointwise_distance,
     rotation,
 )
@@ -108,14 +109,15 @@ def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] 
     n = 2
     for k in range(1, count + 1):
         target = budget / 2.0**k
-        while cert.tail(n - 1) >= target:
-            n += 1
-            if n > MAX_THINNING_INDEX:
+        if cert.tail(n - 1) >= target:
+            # the next index is the first n with tail(n - 1) < target
+            if cert.tail(MAX_THINNING_INDEX - 1) >= target:
                 raise NotCertified(
                     "greedy thinning passed index 10^6 before meeting its "
                     "target; the indices grow geometrically, so request fewer "
                     "of them (or pass a larger budget)"
                 )
+            n = cert.first_index_below(target) + 1
         indices.append(n)
         n += 1
     return tuple(indices), float(budget)
@@ -178,16 +180,8 @@ class InfiniteConstruction:
         idx = self.indices
         if m > len(idx):
             idx, _ = _thinned_indices(self.phi, m, self.budget)
-        back = inverse(self.phi)
-        out = []
-        z = 0.0 + 0.0j
-        depth = 0
-        for n in idx[:m]:
-            while depth < n:
-                z = eval_auto(back, z)
-                depth += 1
-            out.append(z)
-        return out
+        origin = ZeroSequence.orbit(normalized_factor(0.0), self.phi)  # term(n) = phi_{-n}(0)
+        return orbit_terms(origin, idx[:m])[0].tolist()
 
     def accumulated_sequences(self) -> tuple:
         """Orbit sequences generating the zero multiset over all powers.
@@ -234,9 +228,9 @@ def _accumulated_sequences(spec: IsometrySpec) -> tuple:
     return tuple(ZeroSequence.orbit(fac, spec.phi) for fac in spec.psi_zeros)
 
 
-def evidence_rows(spec: IsometrySpec, n: int) -> list:
-    """First ``n`` rows ``(zero, 1 - |zero|, partial_sum)`` of the
-    accumulated zero multiset, sequences interleaved factor-major."""
+def _evidence(spec: IsometrySpec, n: int):
+    """The accumulated sequences and the first ``n`` zeros of their
+    multiset with their gaps ``1 - |zero|``, interleaved factor-major."""
     n = int(n)
     if n < 1:
         raise DomainError("need at least one evidence row")
@@ -244,21 +238,22 @@ def evidence_rows(spec: IsometrySpec, n: int) -> list:
     if not seqs:
         raise ZeroCodimension("no inner zeros: there is no evidence sequence")
     depth = -(-n // len(seqs))
-    cols = [s.terms_up_to(depth) for s in seqs]
-    rows = []
-    total = 0.0
-    for k in range(depth):
-        for col in cols:
-            if len(rows) == n:
-                return rows
-            a = col[k]
-            term = max(0.0, 1.0 - abs(a))
-            total += term
-            rows.append((a, term, total))
-    return rows
+    cols = [orbit_terms(s, depth) for s in seqs]
+    zeros = np.stack([c[0] for c in cols], axis=1).ravel()[:n]
+    gaps = np.stack([c[1] for c in cols], axis=1).ravel()[:n]
+    return seqs, zeros, gaps
 
 
-def decide_crownover(spec: IsometrySpec, n_evidence: int = 256) -> CrownoverVerdict:
+def evidence_rows(spec: IsometrySpec, n: int) -> list:
+    """First ``n`` rows ``(zero, 1 - |zero|, partial_sum)`` of the
+    accumulated zero multiset, sequences interleaved factor-major."""
+    _, zeros, gaps = _evidence(spec, n)
+    return list(zip(zeros.tolist(), gaps.tolist(), np.cumsum(gaps).tolist()))
+
+
+def decide_crownover(
+    spec: IsometrySpec, n_evidence: int = 256, evidence_csv=None
+) -> CrownoverVerdict:
     """Decide whether the ranges of the powers of ``U`` intersect in ``{0}``.
 
     The range of ``U^n`` is ``Psi_n H^p`` with
@@ -267,7 +262,8 @@ def decide_crownover(spec: IsometrySpec, n_evidence: int = 256) -> CrownoverVerd
     fails the Blaschke condition.  Elliptic and identity symbols recycle
     their zeros along compact orbits (certified divergence); hyperbolic and
     parabolic symbols sweep them to the boundary summably (certified tail).
-    The evidence reports ``n_evidence`` terms of that multiset.
+    The evidence reports ``n_evidence`` terms of that multiset, also written
+    to ``evidence_csv`` (a path or text file) as ``write_csv_rows`` from 1.
     Codimension 0 raises ``ZeroCodimension`` - the chain is constant there.
     """
     codim = codimension(spec)
@@ -277,9 +273,10 @@ def decide_crownover(spec: IsometrySpec, n_evidence: int = 256) -> CrownoverVerd
             "dichotomy does not apply"
         )
     n_evidence = int(n_evidence)
-    rows = evidence_rows(spec, n_evidence)
-    partial = rows[-1][2]
-    seqs = _accumulated_sequences(spec)
+    seqs, zeros, gaps = _evidence(spec, n_evidence)
+    partial = float(np.cumsum(gaps)[-1])
+    if evidence_csv is not None:
+        write_csv_rows(evidence_csv, zeros, gaps, 1)
     certs = [convergence_certificate(s) for s in seqs]
 
     if spec.infinite is not None:
@@ -504,7 +501,7 @@ def invariant_subspace_check(
         )
 
     seq = ZeroSequence.orbit(psi_fac, phi)
-    zeros = [complex(a) for a in seq.terms_up_to(n_trunc + 1)]
+    zeros = seq.terms_up_to(n_trunc + 1)
     lams = convergence_factors(zeros)
 
     def factor_at(k, z):
@@ -645,27 +642,17 @@ def _commutant_parameter_candidates(phi2, targets, sources, tol: float):
     rotation (elliptic), dilation (hyperbolic) or horizontal translation
     (parabolic).
     """
-    cls = classify(phi2)
-    if cls.kind is Kind.ELLIPTIC:
-        z0 = cls.fixed_points[0]
-        chart = lambda x: eval_auto(inverse(disc_translation(z0)), x)
-    elif cls.kind is Kind.HYPERBOLIC:
-        b = _boundary_pair_to_halfplane(*cls.fixed_points)
-        chart = lambda x: _mat_apply(b, x)
-    else:
-        c_w = _cayley_at(cls.fixed_points[0])
-        chart = lambda x: _mat_apply(c_w, x)
-
-    u = [chart(x) for x in targets]
-    v = [chart(x) for x in sources]
+    kind, m, _ = model_chart(phi2)
+    u = [_mat_apply(m, x) for x in targets]
+    v = [_mat_apply(m, x) for x in sources]
     ts = [0.0]
     for ui in u:
         for vj in v:
-            if cls.kind is Kind.ELLIPTIC:
+            if kind is Kind.ELLIPTIC:
                 if abs(ui) < 1e-12 or abs(vj) < 1e-12:
                     continue
                 ts.append(cmath.phase(ui / vj))
-            elif cls.kind is Kind.HYPERBOLIC:
+            elif kind is Kind.HYPERBOLIC:
                 # gamma_t acts as zeta -> e^{-2t} zeta
                 ts.append(0.5 * math.log(abs(vj) / abs(ui)))
             else:

@@ -52,6 +52,7 @@ __all__ = [
     "iterate",
     "classify",
     "canonical_pair",
+    "model_chart",
     "find_conjugator",
     "are_conjugate",
     "commutant_element",
@@ -71,13 +72,6 @@ CLASSIFY_TOL = 1e-9
 IDENTITY_TOL = 1e-14
 #: largest |n| accepted by iterate()
 MAX_ITERATE = 10**9
-
-# Orientation reference, frozen after a one-off brute-force computation
-# (re-derived in the test suite): conjugating the standard positively
-# oriented parabolic with fixed point 1 into the upper half plane by
-# C_w(z) = i(conj(w) z + 1)/(1 - conj(w) z) yields the translation
-# zeta -> zeta + 2, so "plus" means positive translation length.
-_PLUS_MEANS_POSITIVE_TRANSLATION = True
 
 
 def _as_complex(z) -> complex:
@@ -137,11 +131,6 @@ class MoebiusMatrix:
     beta: complex
 
     @property
-    def entries(self):
-        a, b = self.alpha, self.beta
-        return ((a, b), (b.conjugate(), a.conjugate()))
-
-    @property
     def det(self) -> float:
         return (abs(self.alpha) - abs(self.beta)) * (abs(self.alpha) + abs(self.beta))
 
@@ -170,13 +159,6 @@ class MoebiusMatrix:
             s = math.sqrt(d)
             alpha, beta = alpha / s, beta / s
         return MoebiusMatrix(alpha, beta)
-
-    def apply(self, z: complex) -> complex:
-        num = self.alpha * z + self.beta
-        den = self.beta.conjugate() * z + self.alpha.conjugate()
-        if den == 0:
-            raise PoleError("Moebius matrix evaluated at its pole")
-        return num / den
 
 
 class Kind(Enum):
@@ -467,10 +449,8 @@ def classify(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Classification
         w = w / abs(w)
         mult = _derivative(phi, w)
         s = _parabolic_translation_length(phi, w)
-        if _PLUS_MEANS_POSITIVE_TRANSLATION:
-            orient = Orientation.PLUS if s > 0 else Orientation.MINUS
-        else:  # pragma: no cover - frozen convention
-            orient = Orientation.MINUS if s > 0 else Orientation.PLUS
+        # C_w conjugates parabolic_fixing_one(1j) to zeta -> zeta + 2: "plus"
+        orient = Orientation.PLUS if s > 0 else Orientation.MINUS
         return Classification(Kind.PARABOLIC, (w,), mult, orient)
 
     # hyperbolic
@@ -507,6 +487,26 @@ def _boundary_pair_to_halfplane(w1: complex, w2: complex):
     if img.imag <= 0:
         tau = -tau
     return (tau, -tau * w1, 1.0, -w2)
+
+
+def model_chart(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL):
+    """``(kind, m, action)``: the matrix ``m`` (``z -> (m0 z + m1)/(m2 z + m3)``)
+    sends the disc onto the model domain, where ``phi`` is the rotation
+    ``zeta -> action zeta`` of the disc (elliptic; ``m`` inverts the
+    ``canonical_pair`` translation), the dilation ``zeta -> action zeta`` of
+    the upper half plane (hyperbolic, attracting fixed point at 0) or its
+    translation ``zeta -> zeta + action`` (parabolic).  Identity: no chart."""
+    cls = classify(phi, tol)
+    if cls.kind is Kind.IDENTITY:
+        return cls.kind, None, None
+    if cls.kind is Kind.ELLIPTIC:
+        z0 = cls.fixed_points[0]
+        return cls.kind, (1.0, -z0, -z0.conjugate(), 1.0), cls.multiplier
+    if cls.kind is Kind.HYPERBOLIC:
+        s = float(cls.multiplier.real if isinstance(cls.multiplier, complex) else cls.multiplier)
+        return cls.kind, _boundary_pair_to_halfplane(*cls.fixed_points), s
+    w = cls.fixed_points[0]
+    return cls.kind, _cayley_at(w), _parabolic_translation_length(phi, w)
 
 
 def canonical_pair(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> CanonicalPair:
@@ -635,27 +635,21 @@ def commutant_element(phi: DiscAutomorphism, t: float, tol: float = CLASSIFY_TOL
     identity.  Raises ``IdentityError`` for the identity, whose commutant is
     the whole group.
     """
-    cls = classify(phi, tol)
-    if cls.kind is Kind.IDENTITY:
+    kind, m, _ = model_chart(phi, tol)
+    if kind is Kind.IDENTITY:
         raise IdentityError("the commutant of the identity is the whole group")
     t = float(t)
     if t == 0.0:
         return identity()
 
-    if cls.kind is Kind.ELLIPTIC:
-        z0 = cls.fixed_points[0]
-        tau = disc_translation(z0)
+    if kind is Kind.ELLIPTIC:
+        tau = disc_translation(-m[1])
         return compose(tau, compose(rotation(cmath.exp(1j * t)), inverse(tau)))
-
-    if cls.kind is Kind.HYPERBOLIC:
-        b = _boundary_pair_to_halfplane(*cls.fixed_points)
-        dil = (complex(math.exp(-2.0 * t)), 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
-        return _disc_from_matrix(_mat_mul(_mat_inv(b), _mat_mul(dil, b)))
-
-    w = cls.fixed_points[0]
-    c_w = _cayley_at(w)
-    trans = (1.0 + 0.0j, complex(t), 0.0 + 0.0j, 1.0 + 0.0j)
-    return _disc_from_matrix(_mat_mul(_mat_inv(c_w), _mat_mul(trans, c_w)))
+    if kind is Kind.HYPERBOLIC:
+        model = (complex(math.exp(-2.0 * t)), 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
+    else:
+        model = (1.0 + 0.0j, complex(t), 0.0 + 0.0j, 1.0 + 0.0j)
+    return _disc_from_matrix(_mat_mul(_mat_inv(m), _mat_mul(model, m)))
 
 
 def boundary_points(n: int) -> list:
