@@ -236,7 +236,9 @@ class TailCertificate:
         # only needed while the peak still lies inside the tail
         c = self.height
         v = math.copysign(1.0, self.step) * (self.offset + self.step * (m - 1)) / c
-        integral = (math.pi / 2.0 - math.atan(v)) / (abs(self.step) * c)
+        # atan2(1, v) = pi/2 - atan(v) for every real v, without the
+        # cancellation of that difference for large v
+        integral = math.atan2(1.0, v) / (abs(self.step) * c)
         peak = -self.offset / self.step
         extra = 2.0 / (c * c) if peak > m - 1 else 0.0
         return self.constant * (integral + extra)
@@ -247,9 +249,7 @@ class TailCertificate:
         ``tail`` does not increase with ``m``, so the index is unique.  The
         closed-form inverse of ``tail`` (a log for geometric tails, ``tan``
         for inverse-square ones) lands on it up to rounding, and unit steps
-        of the same ``tail(m) < target`` test settle the last place.  (Far
-        past 10^8 terms the float ``tail`` itself no longer resolves unit
-        steps of an inverse-square tail, and the steps grow in number.)
+        of the same ``tail(m) < target`` test settle the last place.
         """
         target = float(target)
         if not target > 0.0:
@@ -261,13 +261,13 @@ class TailCertificate:
             q = self.ratio
             m = 0 if q == 0.0 else math.floor(math.log(y * (1.0 - q)) / math.log(q)) + 1
         else:
-            # tail(m) / constant = (pi/2 - atan(v_m)) / (|step| c) with
+            # tail(m) / constant = atan2(1, v_m) / (|step| c) with
             # v_m = (sign(step) offset + |step| (m - 1)) / c, plus 2/c^2 while
             # m - 1 < peak = -offset/step
             c, t = self.height, abs(self.step)
             x = math.copysign(1.0, self.step) * self.offset
 
-            def first(y):  # smallest m whose atan part is below y
+            def first(y):  # smallest m whose atan2 part is below y; v = cot(theta)
                 theta = y * t * c
                 if theta <= 0.0:
                     return math.inf

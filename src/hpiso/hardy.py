@@ -35,6 +35,7 @@ __all__ = [
     "BoundaryFunction",
     "IsometrySpec",
     "CompositionConstant",
+    "inner_product_values",
     "hp_norm",
     "weight_function",
     "apply_isometry",
@@ -46,6 +47,13 @@ __all__ = [
 
 #: default number of boundary samples
 DEFAULT_GRID = 512
+#: factors multiplied per division in ``inner_product_values``.  For
+#: ``|z| <= 1`` each numerator factor has ``|z - a| <= 2`` and each
+#: denominator factor ``|1 - conj(a) z| >= 1 - |a| >= 1e-14`` (zeros obey
+#: ``|a| <= MAX_ZERO_MODULUS``), so a block's numerator stays below ``2^16``
+#: and its denominator above ``1e-224``: neither leaves the normal range.
+#: (The first denominator also carries ``1/phase``, of modulus 1.)
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -168,10 +176,49 @@ class IsometrySpec:
 
     def inner_values(self, z):
         """Values of the finite part of ``Psi`` at ``z`` (scalar or array)."""
-        out = np.ones_like(np.asarray(z, dtype=complex))
-        for fac in self.psi_zeros:
-            out = out * (fac.lam * (z - fac.a) / (1.0 - np.conj(fac.a) * z))
-        return out
+        lam = math.prod(fac.lam for fac in self.psi_zeros)
+        return inner_product_values([fac.a for fac in self.psi_zeros], z, lam)
+
+
+def inner_product_values(zeros, z, phase: complex = 1.0):
+    """``phase * prod_k (z - a_k)/(1 - conj(a_k) z)`` over ``zeros`` at ``z``.
+
+    ``zeros`` is a sequence of complex numbers and ``z`` a scalar or an
+    array; a scalar ``z`` gives a ``complex`` and an empty ``zeros`` gives
+    ``phase``.  Numerators and denominators are multiplied into two buffers
+    and divided once per block of ``_BLOCK`` factors, which cannot under- or
+    overflow for ``|z| <= 1`` and a unimodular ``phase``.  The phase enters
+    the first denominator as ``1/phase``, so it costs no pass of its own.
+    """
+    zz = np.asarray(z, dtype=complex)
+    scalar = zz.ndim == 0
+    if scalar:  # ufuncs return no 0-d arrays to write into
+        zz = zz.reshape(1)
+    c = 1.0 / complex(phase)
+    out = num = den = tmp = None
+    for start in range(0, len(zeros), _BLOCK):
+        # a buffer of None makes the ufunc allocate: the first block's
+        # numerator becomes the output and later blocks reuse one numerator
+        # buffer, so at most three grid-sized scratch arrays (num, den, tmp)
+        a = zeros[start]
+        num = np.subtract(zz, a, num)
+        den = np.multiply(zz, -c * a.conjugate(), den)
+        den += c  # c (1 - conj(a) z)
+        c = 1.0
+        for a in zeros[start + 1 : start + _BLOCK]:
+            tmp = np.subtract(zz, a, tmp)
+            num *= tmp
+            np.multiply(zz, -a.conjugate(), tmp)
+            tmp += 1.0
+            den *= tmp
+        num /= den
+        if out is None:
+            out, num = num, None
+        else:
+            out *= num
+    if out is None:
+        out = np.full_like(zz, phase)
+    return complex(out[0]) if scalar else out
 
 
 def hp_norm(f, ctx: HpContext) -> float:
@@ -240,7 +287,7 @@ def apply_isometry(spec: IsometrySpec, f: BoundaryFunction, ctx: HpContext) -> n
         )
     zeta = ctx.grid
     phi = spec.phi
-    w = phi.lam * (zeta - phi.a) / (1.0 - np.conj(phi.a) * zeta)
+    w = inner_product_values([phi.a], zeta, phi.lam)
     return spec.phase * spec.inner_values(zeta) * weight_function(phi, spec.p, zeta) * f(w)
 
 
@@ -284,7 +331,7 @@ def composition_constant(
     if n < 16:
         raise DomainError("grid_size must be at least 16")
     zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    w = phi.lam * (zeta - phi.a) / (1.0 - np.conj(phi.a) * zeta)
+    w = inner_product_values([phi.a], zeta, phi.lam)
     comp = compose(psi, phi)
     ratio = (
         weight_function(phi, p, zeta)

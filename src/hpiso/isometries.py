@@ -50,7 +50,7 @@ from .blaschke import (
     partial_blaschke_sum,
     write_csv_rows,
 )
-from .hardy import IsometrySpec, weight_function
+from .hardy import IsometrySpec, inner_product_values, weight_function
 from .moebius import (
     MAX_ZERO_MODULUS,
     DiscAutomorphism,
@@ -504,9 +504,9 @@ def invariant_subspace_check(
     zeros = seq.terms_up_to(n_trunc + 1)
     lams = convergence_factors(zeros)
 
-    def factor_at(k, z):
+    def factor_at(k, z):  # scalar z, plain complex arithmetic
         a = zeros[k]
-        return lams[k] * (z - a) / (1.0 - np.conj(a) * z)
+        return lams[k] * (z - a) / (1.0 - a.conjugate() * z)
 
     # a test point on the circle that stays away from every zero used
     zeta_star = None
@@ -526,19 +526,17 @@ def invariant_subspace_check(
 
     m = int(ctx.grid_size)
     z = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    w = phi.lam * (z - phi.a) / (1.0 - np.conj(phi.a) * z)
-    b_n_z = np.ones_like(z)
-    b_n_w = np.ones_like(z)
-    for k in range(n_trunc):
-        b_n_z *= factor_at(k, z)
-        b_n_w *= factor_at(k, w)
+    w = inner_product_values([phi.a], z, phi.lam)
+    lam_n = math.prod(lams[:n_trunc])
+    b_n = inner_product_values(zeros[:n_trunc], np.concatenate([z, w]), lam_n)
+    b_n_z, b_n_w = b_n[:m], b_n[m:]
     weight = weight_function(phi, spec.p, z)
-    psi_vals = psi_fac.lam * (z - psi_fac.a) / (1.0 - np.conj(psi_fac.a) * z)
+    psi_vals = inner_product_values([psi_fac.a], z, psi_fac.lam)
     g_w = g(w)
 
     lhs = spec.phase * psi_vals * weight * b_n_w * g_w
     core = rho * b_n_z * weight * g_w
-    rhs = core * factor_at(n_trunc, z)
+    rhs = core * inner_product_values([zeros[n_trunc]], z, lams[n_trunc])
     defect = float(np.max(np.abs(lhs - rhs)))
     defect_unc = float(np.max(np.abs(lhs - core)))
 

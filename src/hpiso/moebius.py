@@ -285,7 +285,7 @@ def iterate(phi: DiscAutomorphism, n: int) -> DiscAutomorphism:
     after every squaring, so the cost is O(log |n|) and the trace
     normalization cannot drift.  Iterates of non-elliptic maps converge to a
     boundary point; once the result is within 1e-14 of the boundary it is no
-    longer representable and the constructor raises ``DomainError``.
+    longer representable and ``DomainError`` says so.
     """
     n = int(n)
     if abs(n) > MAX_ITERATE:
@@ -295,14 +295,20 @@ def iterate(phi: DiscAutomorphism, n: int) -> DiscAutomorphism:
     base = (phi if n > 0 else inverse(phi)).matrix()
     k = abs(n)
     acc: Optional[MoebiusMatrix] = None
-    while k:
-        if k & 1:
-            acc = base if acc is None else (acc @ base).renormalized()
-        k >>= 1
-        if k:
-            base = (base @ base).renormalized()
-    assert acc is not None
-    return acc.to_automorphism()
+    try:
+        while k:
+            if k & 1:
+                acc = base if acc is None else (acc @ base).renormalized()
+            k >>= 1
+            if k:
+                base = (base @ base).renormalized()
+        assert acc is not None
+        return acc.to_automorphism()
+    except DomainError:
+        raise DomainError(
+            f"the zero of the {n}-th iterate lies within 1e-14 of the unit circle "
+            "in floating point; the iterate is not representable"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +641,12 @@ def commutant_element(phi: DiscAutomorphism, t: float, tol: float = CLASSIFY_TOL
     identity.  Raises ``IdentityError`` for the identity, whose commutant is
     the whole group.
     """
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"commutant parameter t must be finite, got {t!r}")
     kind, m, _ = model_chart(phi, tol)
     if kind is Kind.IDENTITY:
         raise IdentityError("the commutant of the identity is the whole group")
-    t = float(t)
     if t == 0.0:
         return identity()
 

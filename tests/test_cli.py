@@ -10,6 +10,7 @@ for identical invocations.
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import shutil
@@ -26,6 +27,7 @@ from hpiso import (
     construct_zero_intersection,
     identity,
     normalized_factor,
+    parabolic_fixing_one,
     standard_hyperbolic,
 )
 from hpiso import serialize as ser
@@ -288,6 +290,22 @@ def test_exit_4_domain_error():
     code, _, err = run_cli("classify", "--phi", "@/no/such/file.json")
     assert code == 4
     assert_error_line(err, "FileNotFoundError")
+
+
+def test_exit_4_messages_on_a_parabolic():
+    # both used to surface as "degenerate Moebius matrix"
+    phi = ser.dumps(ser.automorphism_to_json(parabolic_fixing_one(cmath.exp(0.7j))))
+    for t in ("nan", "inf", "-inf"):
+        code, out, err = run_cli("commutant", "--phi", phi, f"--t={t}")
+        assert code == 4 and out == ""
+        assert_error_line(err, "DomainError")
+        assert "t must be finite" in json.loads(err)["message"]
+    for n in ("1000000000", "-1000000000"):
+        code, out, err = run_cli("iterate", "--phi", phi, "--n", n)
+        assert code == 4 and out == ""
+        assert_error_line(err, "DomainError")
+        message = json.loads(err)["message"]
+        assert "within 1e-14 of the unit circle" in message and "degenerate" not in message
 
 
 def test_argparse_rejects_unknown():

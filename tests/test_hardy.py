@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpiso import (
     BoundaryFunction,
@@ -31,6 +33,7 @@ from hpiso import (
     eval_auto,
     hp_norm,
     identity,
+    inner_product_values,
     inverse,
     normalized_factor,
     random_polynomial,
@@ -39,6 +42,8 @@ from hpiso import (
     verify_isometry,
     weight_function,
 )
+
+from hpiso.moebius import MAX_ZERO_MODULUS
 
 from conftest import interior_point, random_automorphism, unimodular
 
@@ -219,6 +224,83 @@ def test_weight_branch_error_outside_disc():
     weight_function(phi, 3.0, 1.0)  # boundary itself is fine
     with pytest.raises(DomainError):
         weight_function(phi, 0.5, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked Blaschke-product kernel
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def kernel_zeros(rng, count: int, near_cap: float) -> list:
+    """``count`` zeros: a share ``near_cap`` within 1e-14..1e-2 of the circle or
+    at ``MAX_ZERO_MODULUS``, some at 0, the rest uniform in modulus."""
+    out = []
+    for _ in range(count):
+        u = rng.uniform()
+        if u < near_cap:
+            r = MAX_ZERO_MODULUS if u < near_cap / 4 else 1.0 - 10.0 ** rng.uniform(-14, -2)
+        elif u < near_cap + 0.05:
+            r = 0.0
+        else:
+            r = rng.uniform(0.0, MAX_ZERO_MODULUS)
+        out.append(r * cmath.exp(2j * math.pi * rng.uniform()))
+    return out
+
+
+def kernel_points(rng, zeros, radius: float, count: int = 4) -> np.ndarray:
+    """Points on the circle of ``radius``, half of them aimed at zeros' arguments."""
+    theta = list(2.0 * math.pi * rng.uniform(size=count))
+    for k, a in enumerate(zeros[: count // 2]):
+        if a != 0:
+            theta[k] = cmath.phase(a)
+    return radius * np.exp(1j * np.asarray(theta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((1, 16, 17, 1024)),
+    st.sampled_from((1.0, 0.5)),
+    st.sampled_from((0.0, 0.3, 1.0)),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(0, 2**32 - 1),
+)
+def test_inner_product_values_match_50_digit_products(count, radius, near_cap, angle, seed):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(seed)
+    zeros = kernel_zeros(rng, count, near_cap)
+    z = kernel_points(rng, zeros, radius)
+    phase = cmath.exp(1j * angle)
+    got = inner_product_values(zeros, z, phase)
+    assert got.shape == z.shape and np.all(np.isfinite(got))
+    exact = [(mp.mpc(a), mp.mpc(a.conjugate())) for a in zeros]
+    for zk, gk in zip(z.tolist(), got.tolist()):
+        ref = mp.mpc(phase) * mp.fprod((zk - a) / (1 - ca * zk) for a, ca in exact)
+        cond = sum(abs(a * zk) / abs(1.0 - a.conjugate() * zk) for a in zeros)
+        # first-order rounding: about 7u per factor (two subtractions, three
+        # complex products, a share of a division), plus the cancellation in
+        # 1 - conj(a) z, amplified by |a z| / |1 - conj(a) z|
+        tol = 8 * UNIT_ROUNDOFF * (count + cond) * abs(ref)
+        assert abs(gk - ref) <= tol
+        assert abs(inner_product_values(zeros, zk, phase) - ref) <= tol  # scalar z
+
+
+def test_inner_product_values_edge_cases():
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    ones = inner_product_values([], z)
+    assert ones.shape == (64,) and np.all(ones == 1.0)
+    assert np.all(inner_product_values([], z, 1j) == 1j)
+    assert inner_product_values([], 0.3j) == 1.0 and isinstance(inner_product_values([], 0.3j), complex)
+    assert np.array_equal(inner_product_values([0j], z), z)  # a = 0 is the identity factor
+    assert inner_product_values([0.5, 0j], 0.5) == 0.0
+    # 16, 17 and 32 zeros at the modulus cap, evaluated at their argument on
+    # the circle: each block's numerator and denominator are ~1e-224
+    for count in (16, 17, 32):
+        zeros = [MAX_ZERO_MODULUS] * count
+        vals = inner_product_values(zeros, np.array([1.0 + 0j, -1.0 + 0j, 1j]))
+        assert np.all(np.isfinite(vals))
+        assert np.allclose(np.abs(vals), 1.0, rtol=0.0, atol=1e-12 * count)
 
 
 # ---------------------------------------------------------------------------

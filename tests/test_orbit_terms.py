@@ -165,6 +165,38 @@ def test_first_index_below_guards():
     assert TailCertificate("geometric", 1.0, ratio=0.0).first_index_below(0.5) == 1
 
 
+def test_inverse_square_tail_resolves_deep_unit_steps(monkeypatch):
+    # pi/2 - atan(v) cancelled for large v: the float tail stalled for runs of
+    # unit steps past ~1e8 terms, was off by ~1e-6 relative near 1e11, and the
+    # second certificate's first_index_below took ~9e5 unit steps
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    parabolic = ZeroSequence.orbit(normalized_factor(0.3), parabolic_fixing_one(cmath.exp(0.7j)))
+    certs = (
+        convergence_certificate(parabolic),
+        TailCertificate("inverse-square", 100.0, offset=700.0, step=2.5, height=25.0),
+    )
+    for cert in certs:
+        tails = [cert.tail(m) for m in range(10**9, 10**9 + 1000)]
+        assert all(b < a for a, b in zip(tails, tails[1:]))
+
+        c, step = mp.mpf(cert.height), mp.mpf(cert.step)
+        for m in (0, 1, 10**6, 10**9, 10**12, 10**15):
+            v = mp.sign(step) * (mp.mpf(cert.offset) + step * (m - 1)) / c
+            extra = 2 / c**2 if -cert.offset / cert.step > m - 1 else 0
+            ref = mp.mpf(cert.constant) * (mp.atan2(1, v) / (abs(step) * c) + extra)
+            assert abs(cert.tail(m) - ref) <= 4 * 2.0**-52 * ref
+
+        calls = []
+        tail = TailCertificate.tail
+        monkeypatch.setattr(TailCertificate, "tail", lambda self, m: calls.append(m) or tail(self, m))
+        target = 1e-9 * cert.tail(0)
+        m = cert.first_index_below(target)
+        monkeypatch.undo()
+        assert len(calls) <= 8
+        assert cert.tail(m) < target <= cert.tail(m - 1)
+
+
 def scanned_indices(cert, budget: float, count: int) -> tuple:
     """The greedy thinning rule as a linear scan over the certified tails."""
     indices, n = [], 2
