@@ -9,32 +9,38 @@ Conventions
   artifact and keep the JSON summary on stdout.
 * Output is deterministic: sorted keys, fixed separators, ``repr`` floats in
   CSV; identical arguments (and seed) give byte-identical artifacts.
-* Exit codes: 0 decided/success, 2 parse or schema error, 3 undetermined,
-  4 invalid input.  Errors are single-line JSON objects on stderr.
+* Exit codes: 0 decided/success, 2 parse, schema or usage error, 3
+  undetermined, 4 invalid input.  Errors are single-line JSON objects on
+  stderr.
+* Numeric options take negative values in exponent form too
+  (``--t -1e-3``).
+* Each subcommand imports the modules it needs: ``classify``, ``compose``,
+  ``iterate`` and ``commutant`` load neither numpy nor jsonschema.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-import jsonschema
-
 from . import serialize as ser
-from .blaschke import ZeroSequence, write_orbit_csv
-from .errors import AmbiguousClassification, HpisoError, IdentityAmbiguity
-from .hardy import HpContext, composition_constant, verify_isometry
-from .isometries import (
-    construct_nonzero_intersection,
-    construct_zero_intersection,
-    decide_crownover,
-    decide_equivalent,
-    truncate_spec,
-)
+from .errors import AmbiguousClassification, DomainError, HpisoError, IdentityAmbiguity
 from .moebius import classify, commutant_element, compose, eval_auto, iterate
 
 __all__ = ["main"]
+
+#: largest ``orbit --n``: rows of the orbit CSV
+MAX_ORBIT_ROWS = 1 << 20
+#: largest ``crownover --evidence``: terms of the evidence partial sum
+MAX_EVIDENCE_TERMS = 1 << 20
+
+#: argument strings read as negative numbers, not options; argparse's own
+#: pattern misses exponent forms such as ``-1e-3``
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE
+)
 
 
 def _load_json(text: str):
@@ -46,6 +52,12 @@ def _load_json(text: str):
 
 def _auto(text: str):
     return ser.automorphism_from_json(_load_json(text))
+
+
+def _count(value: int, limit: int, option: str) -> int:
+    if not 1 <= value <= limit:
+        raise DomainError(f"{option} must be between 1 and {limit}, got {value}")
+    return value
 
 
 def _emit(payload: dict, schema: str, out_path) -> None:
@@ -82,7 +94,9 @@ def _cmd_iterate(args) -> int:
     return 0
 
 
-def _orbit_sequence(args) -> ZeroSequence:
+def _orbit_sequence(args):
+    from .blaschke import ZeroSequence
+
     if args.seq is not None:
         if args.phi is not None or args.psi is not None:
             raise ValueError("give either --seq or --phi/--psi, not both")
@@ -96,25 +110,33 @@ def _orbit_sequence(args) -> ZeroSequence:
 
 
 def _cmd_orbit(args) -> int:
+    from .blaschke import write_orbit_csv
+
+    n = _count(args.n, MAX_ORBIT_ROWS, "orbit --n")
     seq = _orbit_sequence(args)
     if args.csv:
-        partial = write_orbit_csv(args.csv, seq, args.n)
-        payload = {"rows": args.n, "csv": args.csv, "partial_sum": partial}
+        partial = write_orbit_csv(args.csv, seq, n)
+        payload = {"rows": n, "csv": args.csv, "partial_sum": partial}
         _emit(payload, "orbit_summary", None)
     else:
-        write_orbit_csv(sys.stdout, seq, args.n)
+        write_orbit_csv(sys.stdout, seq, n)
     return 0
 
 
 def _cmd_crownover(args) -> int:
+    from .isometries import decide_crownover
+
+    n = _count(args.evidence, MAX_EVIDENCE_TERMS, "crownover --evidence")
     spec = ser.spec_from_json(_load_json(args.spec))
     csv_path = args.out or None
-    verdict = decide_crownover(spec, args.evidence, csv_path)
+    verdict = decide_crownover(spec, n, csv_path)
     _emit(ser.crownover_verdict_to_json(verdict, csv_path), "crownover_verdict", None)
     return 0
 
 
 def _cmd_equiv(args) -> int:
+    from .isometries import decide_equivalent
+
     s1 = ser.spec_from_json(_load_json(args.s1))
     s2 = ser.spec_from_json(_load_json(args.s2))
     try:
@@ -138,6 +160,9 @@ def _cmd_commutant(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .hardy import HpContext, verify_isometry
+    from .isometries import truncate_spec
+
     spec = ser.spec_from_json(_load_json(args.spec))
     if spec.infinite is not None and args.truncate:
         spec = truncate_spec(spec, args.truncate)
@@ -148,6 +173,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .isometries import construct_nonzero_intersection, construct_zero_intersection
+
     phi = _auto(args.phi)
     if args.kind == "zero":
         con = construct_zero_intersection(phi)
@@ -158,6 +185,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    from .hardy import composition_constant
+
     cc = composition_constant(_auto(args.phi), _auto(args.psi), args.p, args.grid)
     payload = {
         "rho_closed": ser.complex_to_json(cc.rho_closed),
@@ -172,8 +201,20 @@ def _json_out(sub) -> None:
     sub.add_argument("--out", default=None, help="write the JSON result to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with exponent-form negative values and JSON usage errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        _fail(argparse.ArgumentError(None, message), 2)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hpiso",
         description="disc automorphisms, Blaschke products and the isometries of H^p",
     )
@@ -260,12 +301,19 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _parse_errors() -> tuple:
+    """``JSONDecodeError``, plus jsonschema's ``ValidationError`` once
+    ``serialize.validate`` has imported it to report a schema violation."""
+    jsonschema = sys.modules.get("jsonschema")
+    return (json.JSONDecodeError,) + (() if jsonschema is None else (jsonschema.ValidationError,))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, jsonschema.ValidationError) as exc:
+    except _parse_errors() as exc:
         return _fail(exc, 2)
     except (AmbiguousClassification, IdentityAmbiguity) as exc:
         return _fail(exc, 3)

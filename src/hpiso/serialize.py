@@ -6,27 +6,32 @@ validates its input against the shipped JSON Schema first, so malformed
 structure surfaces as ``jsonschema.ValidationError`` (the CLI's parse-error
 exit) while value-level violations keep raising ``DomainError`` from the
 constructors (the CLI's invalid-input exit).
+
+Validation runs a predicate compiled once per shipped schema from the
+draft-07 keywords those schemas use (``_compile``; any other keyword is
+refused at compile time).  jsonschema stays the authority: it is imported
+only when the predicate rejects an object, and ``jsonschema.validate`` then
+raises the error.  The blaschke, hardy and isometries modules (and with them
+numpy) are imported by the functions that need them, so automorphism and
+classification round trips load neither numpy nor jsonschema.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import jsonschema
-
-from .blaschke import (
-    ConvergenceVerdict,
-    DivergenceCertificate,
-    MergedTailCertificate,
-    TailCertificate,
-    ZeroSequence,
-)
-from .hardy import IsometrySpec
-from .isometries import CrownoverVerdict, EquivWitness, InfiniteConstruction
 from .moebius import Classification, DiscAutomorphism
+
+if TYPE_CHECKING:
+    from .blaschke import ConvergenceVerdict, ZeroSequence
+    from .hardy import IsometrySpec
+    from .isometries import CrownoverVerdict, EquivWitness, InfiniteConstruction
 
 __all__ = [
     "validate",
@@ -48,6 +53,8 @@ __all__ = [
     "crownover_verdict_to_json",
 ]
 
+DRAFT_07 = "http://json-schema.org/draft-07/schema#"
+
 
 @lru_cache(maxsize=None)
 def _schema(name: str) -> dict:
@@ -55,10 +62,180 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+def _is_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, numbers.Number)
+
+
+def _is_integer(x) -> bool:
+    # draft 6 and later: a float with an integral value is an integer
+    return not isinstance(x, bool) and (
+        isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+    )
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _equal(one, two) -> bool:
+    """JSON equality as jsonschema's ``enum``/``const`` see it: ``true`` is
+    not ``1``, ``1.0`` is ``1``, and containers compare element-wise."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(
+            key in two and _equal(value, two[key]) for key, value in one.items()
+        )
+    if isinstance(one, bool) or isinstance(two, bool):
+        return False  # distinct objects, at least one a bool
+    return one == two
+
+
+#: keywords ``_compile`` accepts below the root (which may add ``$schema``
+#: and ``definitions``)
+_KEYWORDS = frozenset(
+    {"$ref", "type", "properties", "required", "additionalProperties",
+     "enum", "const", "minimum", "oneOf", "items", "maxItems"}
+)
+
+
+def _all(checks):
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        for one in checks:
+            if not one(x):
+                return False
+        return True
+
+    return check
+
+
+def _compile(schema: dict):
+    """Validity predicate of a draft-07 ``schema``, equal to
+    ``jsonschema.Draft7Validator(schema).is_valid`` on JSON values.
+
+    Covers exactly the keywords of the shipped schemas: ``$schema``,
+    ``$ref`` into ``definitions``, ``type``, ``properties``, ``required``,
+    ``additionalProperties: false``, ``enum``, ``const``, ``minimum``,
+    ``oneOf``, ``items`` and ``maxItems``.  Any other keyword (or form) raises
+    ``NotImplementedError``, so a schema edit cannot silently weaken the check.
+    """
+    definitions = schema.get("definitions", {})
+    compiled = {}
+
+    def ref(pointer):
+        name = pointer.removeprefix("#/definitions/")
+        if name == pointer or name not in definitions:
+            raise NotImplementedError(f"$ref {pointer!r}: only #/definitions/<name> refs resolve")
+        if name not in compiled:
+            compiled[name] = node(definitions[name])
+        return compiled[name]
+
+    def node(sub, root=False):
+        if not isinstance(sub, dict):
+            raise NotImplementedError(f"schema {sub!r}: boolean schemas are not supported")
+        unknown = sorted(set(sub) - _KEYWORDS - ({"$schema", "definitions"} if root else set()))
+        if unknown:
+            raise NotImplementedError(f"schema keyword(s) {unknown} not supported")
+        if "$ref" in sub:
+            if len(sub) > 1:
+                raise NotImplementedError("$ref with sibling keywords (draft 7 ignores them)")
+            return ref(sub["$ref"])
+        checks = []
+        if "type" in sub:
+            names = [sub["type"]] if isinstance(sub["type"], str) else sub["type"]
+            unknown = sorted(set(names) - set(_TYPES))
+            if unknown:
+                raise NotImplementedError(f"type(s) {unknown} not supported")
+            tests = tuple(_TYPES[t] for t in names)
+            if len(tests) == 1:
+                checks.append(tests[0])
+            else:
+                checks.append(lambda x: any(test(x) for test in tests))
+        if "enum" in sub:
+            values = tuple(sub["enum"])
+            checks.append(lambda x: any(_equal(value, x) for value in values))
+        if "const" in sub:
+            const = sub["const"]
+            checks.append(lambda x: _equal(const, x))
+        if "minimum" in sub:
+            low = sub["minimum"]
+            checks.append(lambda x: not _is_number(x) or not x < low)
+        if "oneOf" in sub:
+            branches = tuple(node(s) for s in sub["oneOf"])
+            checks.append(lambda x: sum(1 for b in branches if b(x)) == 1)
+        if {"properties", "required", "additionalProperties"} & set(sub):
+            checks.append(_object_check(sub, node))
+        if {"items", "maxItems"} & set(sub):
+            checks.append(_array_check(sub, node))
+        return _all(checks) if checks else (lambda x: True)
+
+    if schema.get("$schema") != DRAFT_07:
+        raise NotImplementedError(f"$schema {schema.get('$schema')!r}: only draft-07 is supported")
+    for name in definitions:
+        ref(f"#/definitions/{name}")  # every definition is checked, used or not
+    return node(schema, root=True)
+
+
+def _object_check(sub, node):
+    props = tuple((key, node(s)) for key, s in sub.get("properties", {}).items())
+    known = frozenset(key for key, _ in props)
+    required = tuple(sub.get("required", ()))
+    if sub.get("additionalProperties", False) is not False:
+        raise NotImplementedError("additionalProperties other than false is not supported")
+    closed = "additionalProperties" in sub
+
+    def check(x):
+        if not isinstance(x, dict):
+            return True
+        if closed and not x.keys() <= known:
+            return False
+        for key in required:
+            if key not in x:
+                return False
+        for key, test in props:
+            if key in x and not test(x[key]):
+                return False
+        return True
+
+    return check
+
+
+def _array_check(sub, node):
+    item = node(sub["items"]) if "items" in sub else (lambda x: True)
+    longest = sub.get("maxItems", math.inf)
+
+    def check(x):
+        return not isinstance(x, list) or (len(x) <= longest and all(map(item, x)))
+
+    return check
+
+
+@lru_cache(maxsize=None)
+def _predicate(name: str):
+    return _compile(_schema(name))
+
+
 def validate(name: str, obj) -> None:
     """Validate ``obj`` against the shipped schema ``name`` (raises
-    ``jsonschema.ValidationError``)."""
-    jsonschema.validate(obj, _schema(name))
+    ``jsonschema.ValidationError``, importing jsonschema only then)."""
+    if not _predicate(name)(obj):
+        import jsonschema
+
+        jsonschema.validate(obj, _schema(name))
 
 
 def dumps(obj) -> str:
@@ -110,6 +287,8 @@ def sequence_to_json(seq: ZeroSequence) -> dict:
 
 
 def sequence_from_json(obj) -> ZeroSequence:
+    from .blaschke import ZeroSequence
+
     validate("sequence", obj)
     if obj["kind"] == "Explicit":
         return ZeroSequence.explicit(
@@ -132,6 +311,8 @@ def construction_to_json(con: InfiniteConstruction) -> dict:
 
 
 def construction_from_json(obj) -> InfiniteConstruction:
+    from .isometries import InfiniteConstruction
+
     validate("construction", obj)
     return InfiniteConstruction(
         obj["kind"],
@@ -152,6 +333,8 @@ def spec_to_json(spec: IsometrySpec) -> dict:
 
 
 def spec_from_json(obj) -> IsometrySpec:
+    from .hardy import IsometrySpec
+
     validate("spec", obj)
     infinite = obj.get("infinite")
     return IsometrySpec(
@@ -173,6 +356,8 @@ def witness_to_json(w: EquivWitness) -> dict:
 
 def certificate_to_json(cert) -> dict:
     """One-way serialization of tail/divergence certificates for reports."""
+    from .blaschke import DivergenceCertificate, MergedTailCertificate, TailCertificate
+
     if cert is None:
         return None
     if isinstance(cert, DivergenceCertificate):

@@ -356,3 +356,92 @@ def test_console_script_matches_in_process():
     )
     assert proc.returncode == 0
     assert proc.stdout == CLASSIFY_PHI_I + "\n"
+
+
+# ---------------------------------------------------------------------------
+# argparse: negative numbers in exponent form, usage errors as JSON lines
+
+
+def run_usage_error(*args):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(args))
+    return exc.value.code, err.getvalue()
+
+
+def test_negative_values_in_exponent_form():
+    for t in ("-1e-3", "-1E-3", "-1.5e+0", "-.5e1"):
+        spaced = run_cli("commutant", "--phi", PSI_HALF, "--t", t)
+        joined = run_cli("commutant", "--phi", PSI_HALF, f"--t={t}")
+        assert spaced == joined and spaced[0] == 0
+    code, out, err = run_cli("commutant", "--phi", PSI_HALF, "--t", "-inf")
+    assert code == 4 and "t must be finite" in json.loads(err)["message"]
+    # a negative --p reaches the library, which rejects it (exit 4, not a usage error)
+    code, _, err = run_cli("rho", "--phi", PHI_I, "--psi", PSI_HALF, "--p", "-3e0")
+    assert code == 4
+    assert_error_line(err, "DomainError")
+
+
+def test_usage_errors_are_single_json_lines():
+    for argv in (
+        ["frobnicate"],
+        ["commutant", "--phi", PSI_HALF, "--t"],
+        ["commutant", "--phi", PSI_HALF, "--t", "abc"],
+        ["classify"],
+        ["classify", "--phi", PHI_I, "--bogus", "1"],
+    ):
+        code, err = run_usage_error(*argv)
+        assert code == 2
+        assert_error_line(err, "ArgumentError")
+
+
+def test_help_is_unchanged():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["commutant", "--help"])
+    assert exc.value.code == 0 and err.getvalue() == ""
+    assert out.getvalue().startswith("usage: hpiso commutant [-h] --phi PHI --t T")
+
+
+# ---------------------------------------------------------------------------
+# caps on orbit --n and crownover --evidence (checked before any work)
+
+
+def test_orbit_and_evidence_caps():
+    spec = spec_json(IsometrySpec(3.0, 1.0, (normalized_factor(0.3),), phi_parabolic_plus()))
+    cases = [
+        (("orbit", "--phi", PHI_I, "--n"), cli.MAX_ORBIT_ROWS),
+        (("crownover", "--spec", spec, "--evidence"), cli.MAX_EVIDENCE_TERMS),
+    ]
+    for argv, cap in cases:
+        for value in (cap + 1, 0, -1):
+            code, out, err = run_cli(*argv, str(value))
+            assert code == 4 and out == ""
+            assert_error_line(err, "DomainError")
+            assert str(cap) in json.loads(err)["message"]
+
+
+def test_caps_admit_the_limit(monkeypatch):
+    import hpiso.blaschke
+    import hpiso.isometries
+
+    seen = {}
+
+    def fake_orbit_csv(target, seq, n):
+        seen["orbit"] = n
+        return 0.0
+
+    real_crownover = hpiso.isometries.decide_crownover
+
+    def fake_crownover(spec, n, evidence_csv=None):
+        seen["crownover"] = n
+        return real_crownover(spec, 4)
+
+    monkeypatch.setattr(hpiso.blaschke, "write_orbit_csv", fake_orbit_csv)
+    monkeypatch.setattr(hpiso.isometries, "decide_crownover", fake_crownover)
+    spec = spec_json(IsometrySpec(3.0, 1.0, (normalized_factor(0.3),), phi_parabolic_plus()))
+    assert run_cli("orbit", "--phi", PHI_I, "--n", str(cli.MAX_ORBIT_ROWS))[0] == 0
+    assert run_cli("crownover", "--spec", spec, "--evidence", str(cli.MAX_EVIDENCE_TERMS))[0] == 0
+    assert seen == {"orbit": cli.MAX_ORBIT_ROWS, "crownover": cli.MAX_EVIDENCE_TERMS}
