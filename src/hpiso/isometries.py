@@ -23,7 +23,6 @@ projective version of operator equivalence, which is the invariant notion
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -570,31 +569,43 @@ class EquivWitness:
 _RATIO_POINTS = tuple(circle_points(0.7, 16) + circle_points(0.31, 7))
 
 
-def _multiset_match(left, right, cap: float):
-    """Best max-distance pairing of two equal-length point multisets.
+def _augment(i, level, dist, owner, seen) -> bool:
+    """Augmenting path from left point ``i`` over pairs with ``dist <= level``
+    (Kuhn's algorithm); ``owner[j]`` is the left point matched to ``j``."""
+    for j, e in enumerate(dist[i]):
+        if e <= level and not seen[j]:
+            seen[j] = True
+            if owner[j] < 0 or _augment(owner[j], level, dist, owner, seen):
+                owner[j] = i
+                return True
+    return False
 
-    Exact over permutations for small sets, greedy beyond; returns the max
-    pair distance or None if it exceeds ``cap``.
+
+def _multiset_match(left, right, cap: float):
+    """Bottleneck distance of two equal-length point multisets, or None.
+
+    Returns ``min over bijections of max pair distance`` when that is at
+    most ``cap``, else None.  The optimum is one of the pair distances
+    ``abs(left[i] - right[j])``, so the distinct distances up to ``cap``
+    are binary-searched for the smallest one whose threshold graph has a
+    perfect matching, tested by augmenting paths (bottleneck assignment;
+    Burkard, Dell'Amico & Martello, *Assignment Problems*, 2009).  The
+    result is that float distance itself, exact for every size.
     """
     n = len(left)
     if n == 0:
         return 0.0
-    if n <= 7:
-        best = None
-        for perm in itertools.permutations(range(n)):
-            worst = max(abs(left[i] - right[perm[i]]) for i in range(n))
-            if best is None or worst < best:
-                best = worst
-                if best == 0.0:
-                    break
-        return best if best <= cap else None
-    remaining = list(range(n))
-    worst = 0.0
-    for i in range(n):
-        j_best = min(remaining, key=lambda j: abs(left[i] - right[j]))
-        worst = max(worst, abs(left[i] - right[j_best]))
-        remaining.remove(j_best)
-    return worst if worst <= cap else None
+    dist = [[abs(x - y) for y in right] for x in left]
+    levels = sorted({e for row in dist for e in row if e <= cap})
+    lo, hi = 0, len(levels)  # first feasible index in [lo, hi]; len(levels): none
+    while lo < hi:
+        mid = (lo + hi) // 2
+        owner = [-1] * n
+        if all(_augment(i, levels[mid], dist, owner, [False] * n) for i in range(n)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return levels[lo] if lo < len(levels) else None
 
 
 def _inner_value(spec: IsometrySpec, z: complex) -> complex:
@@ -605,15 +616,24 @@ def _inner_value(spec: IsometrySpec, z: complex) -> complex:
 
 
 def _witness_from_eta(s1: IsometrySpec, s2: IsometrySpec, eta, tol: float):
-    """Validate a candidate conjugator and extract (rho, residual)."""
-    sym = compose(inverse(eta), compose(s1.phi, eta))
-    sym_res = pointwise_distance(sym, s2.phi)
-    if sym_res > 10.0 * tol:
-        return None
-    moved = [eval_auto(inverse(eta), fac.a) for fac in s1.psi_zeros]
+    """Validate a candidate conjugator and extract (rho, residual).
+
+    Three checks, each within ``10 tol``: the zeros of ``Psi_1`` moved by
+    ``eta^{-1}`` match those of ``Psi_2`` as multisets, ``eta^{-1} phi_1
+    eta`` equals ``phi_2``, and ``Psi_2 / (Psi_1 o eta)`` is a unimodular
+    constant ``rho``.  The zero match runs first because it is the cheapest
+    and rejects almost every wrong candidate; the verdict and the residual,
+    the largest of the three defects, do not depend on the order.
+    """
+    eta_inv = inverse(eta)
+    moved = [eval_auto(eta_inv, fac.a) for fac in s1.psi_zeros]
     z2 = [fac.a for fac in s2.psi_zeros]
     zero_res = _multiset_match(moved, z2, 10.0 * tol)
     if zero_res is None:
+        return None
+    sym = compose(eta_inv, compose(s1.phi, eta))
+    sym_res = pointwise_distance(sym, s2.phi)
+    if sym_res > 10.0 * tol:
         return None
     ratios = []
     for z in _RATIO_POINTS:
@@ -711,10 +731,11 @@ def decide_equivalent(
             raise IdentityAmbiguity(
                 "single-zero identity-symbol match failed its own verification"
             )
+        tau1 = disc_translation(z1[0])
+        tau1_inv = inverse(tau1)
+        u = [eval_auto(tau1_inv, x) for x in z1[1:]]
         for j in range(d):
-            tau1 = disc_translation(z1[0])
             tau2 = disc_translation(z2[j])
-            u = [eval_auto(inverse(tau1), x) for i, x in enumerate(z1) if i != 0]
             v = [eval_auto(inverse(tau2), x) for i, x in enumerate(z2) if i != j]
             thetas = [0.0]
             for ui in u:

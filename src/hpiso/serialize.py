@@ -5,7 +5,12 @@ automorphisms are ``{"lambda": complex, "a": complex}``.  Each ``*_from_json``
 validates its input against the shipped JSON Schema first, so malformed
 structure surfaces as ``jsonschema.ValidationError`` (the CLI's parse-error
 exit) while value-level violations keep raising ``DomainError`` from the
-constructors (the CLI's invalid-input exit).
+constructors (the CLI's invalid-input exit).  The whole object is validated
+once, at that entry point; its nested automorphisms and constructions are
+then built unchecked (``_automorphism``, ``_construction``).  That is sound
+because the ``definitions`` of spec.json, construction.json and
+sequence.json equal the bodies of automorphism.json, complex.json and
+construction.json (a test checks this).
 
 Validation runs a predicate compiled once per shipped schema from the
 draft-07 keywords those schemas use (``_compile``; any other keyword is
@@ -259,6 +264,12 @@ def automorphism_to_json(phi: DiscAutomorphism) -> dict:
 
 def automorphism_from_json(obj) -> DiscAutomorphism:
     validate("automorphism", obj)
+    return _automorphism(obj)
+
+
+def _automorphism(obj) -> DiscAutomorphism:
+    # unchecked: callers have validated ``obj`` against a schema whose
+    # ``automorphism`` definition is the body of automorphism.json
     return DiscAutomorphism(
         complex(obj["lambda"]["re"], obj["lambda"]["im"]),
         complex(obj["a"]["re"], obj["a"]["im"]),
@@ -295,10 +306,8 @@ def sequence_from_json(obj) -> ZeroSequence:
             tuple(complex(c["re"], c["im"]) for c in obj["zeros"])
         )
     if obj["kind"] == "Orbit":
-        return ZeroSequence.orbit(
-            automorphism_from_json(obj["psi"]), automorphism_from_json(obj["phi"])
-        )
-    return ZeroSequence.forward_orbit(automorphism_from_json(obj["phi"]))
+        return ZeroSequence.orbit(_automorphism(obj["psi"]), _automorphism(obj["phi"]))
+    return ZeroSequence.forward_orbit(_automorphism(obj["phi"]))
 
 
 def construction_to_json(con: InfiniteConstruction) -> dict:
@@ -311,12 +320,18 @@ def construction_to_json(con: InfiniteConstruction) -> dict:
 
 
 def construction_from_json(obj) -> InfiniteConstruction:
+    validate("construction", obj)
+    return _construction(obj)
+
+
+def _construction(obj) -> InfiniteConstruction:
+    # unchecked, like ``_automorphism``: spec.json's ``construction``
+    # definition is the body of construction.json
     from .isometries import InfiniteConstruction
 
-    validate("construction", obj)
     return InfiniteConstruction(
         obj["kind"],
-        automorphism_from_json(obj["phi"]),
+        _automorphism(obj["phi"]),
         tuple(obj["indices"]),
         float(obj["budget"]),
     )
@@ -340,9 +355,9 @@ def spec_from_json(obj) -> IsometrySpec:
     return IsometrySpec(
         float(obj["p"]),
         complex(obj["phase"]["re"], obj["phase"]["im"]),
-        tuple(automorphism_from_json(f) for f in obj["psi_zeros"]),
-        automorphism_from_json(obj["phi"]),
-        None if infinite is None else construction_from_json(infinite),
+        tuple(_automorphism(f) for f in obj["psi_zeros"]),
+        _automorphism(obj["phi"]),
+        None if infinite is None else _construction(infinite),
     )
 
 

@@ -475,3 +475,57 @@ def test_schema_violation_stderr_matches_jsonschema():
         code = cli.main(["classify", "--phi", json.dumps(bad)])
     assert code == 2 and out.getvalue() == ""
     assert err.getvalue() == want
+
+
+def _body(schema):
+    return {k: v for k, v in schema.items() if k not in ("$schema", "definitions")}
+
+
+def test_nested_definitions_equal_the_schema_files():
+    # spec_from_json, construction_from_json and sequence_from_json validate
+    # the whole object once and build its parts unchecked; that is sound only
+    # while each nested definition is the body of the schema of that name
+    for outer in ("spec", "construction", "sequence"):
+        definitions = SCHEMAS[outer]["definitions"]
+        for name, sub in definitions.items():
+            assert sub == _body(SCHEMAS[name]), (outer, name)
+            for inner, inner_sub in SCHEMAS[name].get("definitions", {}).items():
+                assert definitions[inner] == inner_sub, (outer, name, inner)
+
+
+def test_from_json_validates_once(rng, monkeypatch):
+    phi = random_by_kind(rng, "Hyperbolic")
+    spec = IsometrySpec(3.0, 1.0, (normalized_factor(0.3), normalized_factor(-0.2j)), phi,
+                        infinite=construct_zero_intersection(phi))
+    objs = {
+        "spec": ser.spec_to_json(spec),
+        "construction": ser.construction_to_json(construct_nonzero_intersection(phi, 3)),
+        "sequence": ser.sequence_to_json(ZeroSequence.orbit(normalized_factor(0.3), phi)),
+        "automorphism": ser.automorphism_to_json(phi),
+    }
+    calls = []
+    real = ser.validate
+    monkeypatch.setattr(ser, "validate", lambda name, obj: (calls.append(name), real(name, obj)))
+    for name, obj in objs.items():
+        calls.clear()
+        getattr(ser, f"{name}_from_json")(obj)
+        assert calls == [name]
+
+
+def test_nested_violation_stderr_names_the_entry_schema():
+    bad_factor = {"lambda": {"re": 1.0, "im": 0.0}, "a": {"re": 0.1}}
+    spec = {
+        "p": 3.0,
+        "phase": {"re": 1.0, "im": 0.0},
+        "psi_zeros": [bad_factor],
+        "phi": {"lambda": {"re": 1.0, "im": 0.0}, "a": {"re": 0.5, "im": 0.0}},
+        "infinite": None,
+    }
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(spec, SCHEMAS["spec"])
+    want = ser.dumps({"error": "ValidationError", "message": str(exc.value)}) + "\n"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", "--spec", json.dumps(spec)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == want
