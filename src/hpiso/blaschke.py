@@ -31,7 +31,6 @@ from .errors import DomainError, GeneratorExhausted, NotCertified
 from .moebius import (
     DiscAutomorphism,
     Kind,
-    _mat_apply,
     eval_auto,
     inverse,
     iterate,
@@ -348,10 +347,11 @@ def orbit_terms(seq: ZeroSequence, n):
     if (np.ndim(n) == 0 and int(n) < 0) or (k < 0).any():
         raise DomainError("term count and indices must be nonnegative")
     beta, step = seq.start_and_step()
-    kind, m, action = model_chart(step)
+    chart = model_chart(step)
+    kind, m, action = chart
     if kind is Kind.IDENTITY:
         return np.full(k.shape, beta, dtype=complex), np.full(k.shape, 1.0 - abs(beta))
-    zeta0 = _mat_apply(m, beta)
+    zeta0 = chart.apply(beta)
     if kind is Kind.ELLIPTIC:
         theta = cmath.phase(action)
         hi = float(np.float32(theta))  # 24 bits: k * hi is exact for k < 2^29
@@ -393,10 +393,11 @@ def convergence_certificate(seq: ZeroSequence):
     if seq.is_explicit:
         raise DomainError("certificates exist only for orbit-generated sequences")
     beta, step = seq.start_and_step()
-    kind, m, action = model_chart(step)
+    chart = model_chart(step)
+    kind, m, action = chart
     if kind is Kind.IDENTITY:
         return DivergenceCertificate(max(1.0 - abs(beta), 1e-300))
-    zeta0 = _mat_apply(m, beta)
+    zeta0 = chart.apply(beta)
 
     if kind is Kind.ELLIPTIC:
         rho, c = abs(zeta0), abs(m[1])

@@ -52,21 +52,17 @@ from .blaschke import (
 from .hardy import IsometrySpec, inner_product_values, weight_function
 from .moebius import (
     MAX_ZERO_MODULUS,
+    Chart,
     DiscAutomorphism,
     Kind,
-    _mat_apply,
     circle_points,
     classify,
-    commutant_element,
     compose,
-    disc_translation,
     eval_auto,
-    find_conjugator,
     identity,
     inverse,
     model_chart,
     pointwise_distance,
-    rotation,
 )
 
 __all__ = [
@@ -149,7 +145,7 @@ class InfiniteConstruction:
     def __post_init__(self):
         if self.kind not in ("BackwardOrbitProduct", "ThinnedForwardProduct"):
             raise DomainError(f"unknown infinite construction kind: {self.kind!r}")
-        if self.phi.is_identity() or classify(self.phi).kind is Kind.ELLIPTIC:
+        if classify(self.phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
             raise WrongClass(
                 "infinite orbit products need a hyperbolic or parabolic symbol"
             )
@@ -308,7 +304,7 @@ def decide_crownover(
         )
         return CrownoverVerdict("NotCrownover", "ConstructedConvergent", math.inf, evidence)
 
-    kind = Kind.IDENTITY if spec.phi.is_identity() else classify(spec.phi).kind
+    kind = classify(spec.phi).kind
     if kind in (Kind.IDENTITY, Kind.ELLIPTIC):
         delta = min(c.delta for c in certs)
         evidence = ConvergenceVerdict(
@@ -349,7 +345,7 @@ def construct_zero_intersection(phi: DiscAutomorphism) -> InfiniteConstruction:
     ``|Psi_N(phi(z))| = |z| |Psi_{N-1}(z)|``, which is what pushes a fresh
     zero at ``phi(0)`` into every power of the range.
     """
-    if phi.is_identity() or classify(phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
+    if classify(phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
         raise WrongClass(
             "the forward orbit converges to the boundary only for hyperbolic "
             "or parabolic symbols"
@@ -371,21 +367,14 @@ def zero_intersection_shift_defect(
     if n < 1:
         raise DomainError("need at least one factor")
     zeros = construction.own_zeros(n)
-    lams = convergence_factors(zeros)
     if points is None:
         points = circle_points(0.6, 17) + circle_points(0.25, 9)
+    z = np.asarray(points, dtype=complex)
     phi = construction.phi
-    worst = 0.0
-    for z in points:
-        w = eval_auto(phi, z)
-        num = 1.0
-        for lam, a in zip(lams, zeros):
-            num *= abs(lam * (w - a) / (1.0 - a.conjugate() * w))
-        den = abs(z)
-        for lam, a in zip(lams[: n - 1], zeros[: n - 1]):
-            den *= abs(lam * (z - a) / (1.0 - a.conjugate() * z))
-        worst = max(worst, abs(num - den))
-    return worst
+    w = inner_product_values([phi.a], z, phi.lam)
+    num = np.abs(inner_product_values(zeros, w))
+    den = np.abs(z) * np.abs(inner_product_values(zeros[: n - 1], z))
+    return float(np.max(np.abs(num - den), initial=0.0))
 
 
 def construct_nonzero_intersection(phi: DiscAutomorphism, count: int) -> InfiniteConstruction:
@@ -401,7 +390,7 @@ def construct_nonzero_intersection(phi: DiscAutomorphism, count: int) -> Infinit
     count = int(count)
     if count < 1:
         raise DomainError("count must be at least 1")
-    if phi.is_identity() or classify(phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
+    if classify(phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
         raise WrongClass("the thinned construction needs a hyperbolic or parabolic symbol")
     indices, budget = _thinned_indices(phi, count)
     return InfiniteConstruction("ThinnedForwardProduct", phi, indices, budget)
@@ -492,8 +481,8 @@ def invariant_subspace_check(
         raise DomainError("radius must lie in (0, 1)")
     phi = spec.phi
     psi_fac = spec.psi_zeros[0]
-    is_id = phi.is_identity()
-    if not is_id and classify(phi).kind is Kind.ELLIPTIC:
+    kind = classify(phi).kind
+    if kind is Kind.ELLIPTIC:
         raise NotCertified(
             "the backward orbit of an elliptic symbol stays in a compact set; "
             "the orbit product is not a Blaschke product"
@@ -539,7 +528,7 @@ def invariant_subspace_check(
     defect = float(np.max(np.abs(lhs - rhs)))
     defect_unc = float(np.max(np.abs(lhs - core)))
 
-    if is_id:
+    if kind is Kind.IDENTITY:
         tail = 0.0
     else:
         cert = convergence_certificate(seq)
@@ -608,13 +597,6 @@ def _multiset_match(left, right, cap: float):
     return levels[lo] if lo < len(levels) else None
 
 
-def _inner_value(spec: IsometrySpec, z: complex) -> complex:
-    out = complex(spec.phase)
-    for fac in spec.psi_zeros:
-        out *= fac.lam * (z - fac.a) / (1.0 - fac.a.conjugate() * z)
-    return out
-
-
 def _witness_from_eta(s1: IsometrySpec, s2: IsometrySpec, eta, tol: float):
     """Validate a candidate conjugator and extract (rho, residual).
 
@@ -637,10 +619,11 @@ def _witness_from_eta(s1: IsometrySpec, s2: IsometrySpec, eta, tol: float):
         return None
     ratios = []
     for z in _RATIO_POINTS:
-        denom = _inner_value(s1, eval_auto(eta, z))
+        w = eval_auto(eta, z)
+        denom = math.prod((eval_auto(f, w) for f in s1.psi_zeros), start=s1.phase)
         if abs(denom) < 1e-8:
             continue
-        ratios.append(_inner_value(s2, z) / denom)
+        ratios.append(math.prod((eval_auto(f, z) for f in s2.psi_zeros), start=s2.phase) / denom)
     if not ratios:
         return None
     mean = sum(ratios) / len(ratios)
@@ -653,34 +636,33 @@ def _witness_from_eta(s1: IsometrySpec, s2: IsometrySpec, eta, tol: float):
     return EquivWitness(eta, rho, max(sym_res, zero_res, spread))
 
 
-def _commutant_parameter_candidates(phi2, targets, sources, tol: float):
-    """Parameters ``t`` with ``gamma_t(source) = target`` for some pairing.
+def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, tol: float):
+    """The first witness among the conjugators ``eta_0 o gamma_t`` from the
+    map of chart ``c2`` to that of ``c1`` (``Chart.conjugator``), or None.
 
-    Solved in the canonical chart of ``phi2``, where the commutant acts as
-    rotation (elliptic), dilation (hyperbolic) or horizontal translation
-    (parabolic).
+    A witness carries each zero of ``Psi_2`` onto a zero of ``Psi_1``, so
+    matching one pair in ``c2`` pins ``t``: ``gamma_t`` must carry the chart
+    image of a zero of ``Psi_2`` to that of a zero of ``Psi_1`` moved by
+    ``eta_0^{-1}``.  ``t = 0`` comes first, then the pairs in order,
+    skipping parameters within 1e-12 of an earlier one.
     """
-    kind, m, _ = model_chart(phi2)
-    u = [_mat_apply(m, x) for x in targets]
-    v = [_mat_apply(m, x) for x in sources]
+    eta0 = c2.conjugator(c1, tol)
+    if eta0 is None:
+        return None
+    eta0_inv = inverse(eta0)
+    u = [c2.apply(eval_auto(eta0_inv, fac.a)) for fac in s1.psi_zeros]
+    v = [c2.apply(fac.a) for fac in s2.psi_zeros]
     ts = [0.0]
     for ui in u:
         for vj in v:
-            if kind is Kind.ELLIPTIC:
-                if abs(ui) < 1e-12 or abs(vj) < 1e-12:
-                    continue
-                ts.append(cmath.phase(ui / vj))
-            elif kind is Kind.HYPERBOLIC:
-                # gamma_t acts as zeta -> e^{-2t} zeta
-                ts.append(0.5 * math.log(abs(vj) / abs(ui)))
-            else:
-                # gamma_t acts as zeta -> zeta + t
-                ts.append((ui - vj).real)
-    out = []
+            t = c2.parameter(ui, vj)
+            if t is not None and all(abs(t - s) > 1e-12 for s in ts):
+                ts.append(t)
     for t in ts:
-        if all(abs(t - s) > 1e-12 for s in out):
-            out.append(t)
-    return out
+        w = _witness_from_eta(s1, s2, c2.conjugator(c1, tol, t), tol)
+        if w is not None:
+            return w
+    return None
 
 
 def decide_equivalent(
@@ -691,78 +673,38 @@ def decide_equivalent(
     Returns an ``EquivWitness`` or ``None`` (not equivalent).  Specs on
     different ``H^p`` spaces or with infinite constructions raise
     ``DomainError`` (truncate the latter first).  For identity symbols of
-    codimension at least 2, a failed anchored search raises
+    codimension at least 1, a failed anchored search raises
     ``IdentityAmbiguity`` rather than asserting inequality, because the
     search is only exhaustive up to the matching tolerance.
 
     Non-identity symbols reduce to finitely many candidates: any witness lies
-    in ``eta_0 Com(phi_2)`` for one canonical conjugator ``eta_0``, and the
-    commutant parameter is pinned by matching a single zero pair in the
-    canonical chart.
+    in ``eta_0 Com(phi_2)`` for the conjugator ``eta_0`` between the two
+    model charts (each built once), and the commutant parameter is pinned by
+    matching a single zero pair in the chart of ``phi_2``.  For identity
+    symbols a witness sends some zero of ``Psi_2`` to the first zero of
+    ``Psi_1``; each such anchor leaves the rotations about it, the
+    commutant of the chart ``Chart.centred`` there.
     """
     if s1.infinite is not None or s2.infinite is not None:
         raise DomainError("equivalence needs finite specs; use truncate_spec first")
     if float(s1.p) != float(s2.p):
         raise DomainError(f"specs live on different spaces: p = {s1.p} vs p = {s2.p}")
-    if len(s1.psi_zeros) != len(s2.psi_zeros):
-        return None
     d = len(s1.psi_zeros)
-    id1, id2 = s1.phi.is_identity(), s2.phi.is_identity()
-    if id1 != id2:
+    if len(s2.psi_zeros) != d or s1.phi.is_identity() != s2.phi.is_identity():
         return None
 
+    if not s1.phi.is_identity():
+        return _commutant_search(s1, s2, model_chart(s1.phi, tol), model_chart(s2.phi, tol), tol)
     if d == 0:
-        if id1:
-            return EquivWitness(identity(), s2.phase / s1.phase, 0.0)
-        eta = find_conjugator(s2.phi, s1.phi, tol)
-        if eta is None:
-            return None
-        return _witness_from_eta(s1, s2, eta, tol)
-
-    z1 = [fac.a for fac in s1.psi_zeros]
-    z2 = [fac.a for fac in s2.psi_zeros]
-
-    if id1:
-        if d == 1:
-            eta = compose(disc_translation(z1[0]), inverse(disc_translation(z2[0])))
-            w = _witness_from_eta(s1, s2, eta, tol)
-            if w is not None:
-                return w
-            raise IdentityAmbiguity(
-                "single-zero identity-symbol match failed its own verification"
-            )
-        tau1 = disc_translation(z1[0])
-        tau1_inv = inverse(tau1)
-        u = [eval_auto(tau1_inv, x) for x in z1[1:]]
-        for j in range(d):
-            tau2 = disc_translation(z2[j])
-            v = [eval_auto(inverse(tau2), x) for i, x in enumerate(z2) if i != j]
-            thetas = [0.0]
-            for ui in u:
-                for vj in v:
-                    if abs(ui) > 1e-12 and abs(vj) > 1e-12:
-                        thetas.append(cmath.phase(ui / vj))
-            for theta in thetas:
-                eta = compose(tau1, compose(rotation(cmath.exp(1j * theta)), inverse(tau2)))
-                w = _witness_from_eta(s1, s2, eta, tol)
-                if w is not None:
-                    return w
-        raise IdentityAmbiguity(
-            "identity symbol: the anchored search over zero pairings found no "
-            "witness within tolerance; equivalence is undecided at this precision"
-        )
-
-    c1 = classify(s1.phi, tol)
-    c2 = classify(s2.phi, tol)
-    if c1.kind is not c2.kind:
-        return None
-    eta0 = find_conjugator(s2.phi, s1.phi, tol)
-    if eta0 is None:
-        return None
-    targets = [eval_auto(inverse(eta0), x) for x in z1]
-    for t in _commutant_parameter_candidates(s2.phi, targets, z2, tol):
-        eta = compose(eta0, commutant_element(s2.phi, t))
-        w = _witness_from_eta(s1, s2, eta, tol)
+        return EquivWitness(identity(), s2.phase / s1.phase, 0.0)
+    c1 = Chart.centred(s1.psi_zeros[0].a)
+    for fac in s2.psi_zeros:
+        w = _commutant_search(s1, s2, c1, Chart.centred(fac.a), tol)
         if w is not None:
             return w
-    return None
+    if d == 1:
+        raise IdentityAmbiguity("single-zero identity-symbol match failed its own verification")
+    raise IdentityAmbiguity(
+        "identity symbol: the anchored search over zero pairings found no "
+        "witness within tolerance; equivalence is undecided at this precision"
+    )

@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     AmbiguousClassification,
@@ -41,6 +41,7 @@ __all__ = [
     "Orientation",
     "Classification",
     "CanonicalPair",
+    "Chart",
     "identity",
     "rotation",
     "standard_hyperbolic",
@@ -478,7 +479,7 @@ def classify(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Classification
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and conjugacy
+# model charts, canonical forms and conjugacy
 
 
 def _boundary_pair_to_halfplane(w1: complex, w2: complex):
@@ -495,71 +496,155 @@ def _boundary_pair_to_halfplane(w1: complex, w2: complex):
     return (tau, -tau * w1, 1.0, -w2)
 
 
-def model_chart(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL):
-    """``(kind, m, action)``: the matrix ``m`` (``z -> (m0 z + m1)/(m2 z + m3)``)
-    sends the disc onto the model domain, where ``phi`` is the rotation
-    ``zeta -> action zeta`` of the disc (elliptic; ``m`` inverts the
-    ``canonical_pair`` translation), the dilation ``zeta -> action zeta`` of
-    the upper half plane (hyperbolic, attracting fixed point at 0) or its
-    translation ``zeta -> zeta + action`` (parabolic).  Identity: no chart."""
-    cls = classify(phi, tol)
+class Chart(NamedTuple):
+    """The model chart of a disc automorphism ``phi`` (see ``model_chart``).
+
+    The matrix ``m`` (``z -> (m0 z + m1)/(m2 z + m3)``) sends the disc onto
+    the model domain, where ``phi`` is the rotation ``zeta -> action zeta``
+    of the disc (elliptic, fixed point at 0), the dilation ``zeta -> action
+    zeta`` of the upper half plane (hyperbolic, attracting fixed point at 0,
+    repelling at infinity) or its translation ``zeta -> zeta + action``
+    (parabolic, fixed point at infinity).  ``action`` is the class
+    invariant: the multiplier, the attracting multiplier, or the signed
+    translation length whose sign is the orientation.  The commutant of
+    ``phi`` acts in the chart as the model maps ``zeta -> e^{it} zeta``,
+    ``zeta -> e^{-2t} zeta`` or ``zeta -> zeta + t``.  The identity's chart
+    is ``(Kind.IDENTITY, None, None)``.
+    """
+
+    kind: Kind
+    m: Optional[tuple]
+    action: object
+
+    @classmethod
+    def centred(cls, z0: complex, action: complex = 1.0 + 0.0j) -> "Chart":
+        """The disc chart ``z -> (z - z0)/(1 - conj(z0) z)`` of the rotation
+        by ``action`` about ``z0`` (by default the identity, whose commutant
+        contains the rotations about every point)."""
+        return cls(Kind.ELLIPTIC, (1.0, -z0, -z0.conjugate(), 1.0), action)
+
+    def apply(self, z: complex) -> complex:
+        """The chart image of ``z``."""
+        return _mat_apply(self.m, z)
+
+    def commutant(self, t: float) -> DiscAutomorphism:
+        """The commutant element at parameter ``t``: the model map at ``t``
+        conjugated back by ``m`` (``t = 0`` gives the identity exactly)."""
+        t = float(t)
+        if not math.isfinite(t):
+            raise DomainError(f"commutant parameter t must be finite, got {t!r}")
+        if self.kind is Kind.IDENTITY:
+            raise IdentityError("the commutant of the identity is the whole group")
+        if t == 0.0:
+            return identity()
+        return self.conjugator(self, t=t)
+
+    def parameter(self, u: complex, v: complex) -> Optional[float]:
+        """The ``t`` whose model map carries the chart point ``v`` to ``u``.
+
+        Exact when ``u`` lies on the model orbit of ``v``; otherwise the
+        hyperbolic ``t`` matches the moduli and the parabolic one the real
+        parts.  None when an elliptic point sits within 1e-12 of the centre,
+        where the angle is undefined.
+        """
+        if self.kind is Kind.ELLIPTIC:
+            if abs(u) < 1e-12 or abs(v) < 1e-12:
+                return None
+            return cmath.phase(u / v)
+        if self.kind is Kind.HYPERBOLIC:
+            return 0.5 * math.log(abs(v) / abs(u))
+        if self.kind is Kind.PARABOLIC:
+            return (u - v).real
+        raise IdentityError("the commutant of the identity is the whole group")
+
+    def conjugator(
+        self, other: "Chart", tol: float = CLASSIFY_TOL, t: float = 0.0
+    ) -> Optional[DiscAutomorphism]:
+        """The conjugator at parameter ``t`` from this chart's map ``phi`` to
+        the map ``psi`` of ``other``, or None if their classes differ.
+
+        Every ``eta`` with ``psi = eta o phi o eta^{-1}`` is ``eta_0 o
+        gamma_t`` for one commutant element ``gamma_t`` of ``phi``, and
+        ``eta_0 o gamma_t = m_psi^{-1} D g_t m_phi`` is built in one matrix
+        product: ``g_t`` is the model map at ``t`` and ``D`` the dilation
+        ``s_psi/s_phi`` matching the translation lengths of parabolic maps
+        (the identity for the other kinds).
+        """
+        if self.kind is Kind.IDENTITY or other.kind is Kind.IDENTITY:
+            raise IdentityError("conjugators of the identity are not meaningful here")
+        if not _same_class(self, other, tol):
+            return None
+        if self.kind is Kind.ELLIPTIC:
+            model = (cmath.exp(1j * t), 0j, 0j, 1 + 0j)
+        elif self.kind is Kind.HYPERBOLIC:
+            model = (complex(math.exp(-2.0 * t)), 0j, 0j, 1 + 0j)
+        else:
+            k = other.action / self.action
+            model = (complex(k), complex(k * t), 0j, 1 + 0j)
+        return _disc_from_matrix(_mat_mul(_mat_inv(other.m), _mat_mul(model, self.m)))
+
+
+def model_chart(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Chart:
+    """The ``Chart`` of ``phi``; it unpacks as ``kind, m, action``.
+
+    Elliptic maps are charted by the disc translation sending the fixed
+    point to 0 (``m`` is ``Chart.centred`` at it), hyperbolic maps by the
+    half-plane map sending the attracting and repelling fixed points to 0
+    and infinity, parabolic maps by the Cayley map sending the fixed point
+    to infinity.  Chart matrices are built here and in ``Chart.centred``
+    only; ``Chart`` reads everything else off them.
+    """
+    return _chart(phi, classify(phi, tol))
+
+
+def _chart(phi: DiscAutomorphism, cls: Classification) -> Chart:
+    """The chart of ``phi`` from its classification ``cls``."""
     if cls.kind is Kind.IDENTITY:
-        return cls.kind, None, None
+        return Chart(cls.kind, None, None)
     if cls.kind is Kind.ELLIPTIC:
-        z0 = cls.fixed_points[0]
-        return cls.kind, (1.0, -z0, -z0.conjugate(), 1.0), cls.multiplier
+        return Chart.centred(cls.fixed_points[0], cls.multiplier)
     if cls.kind is Kind.HYPERBOLIC:
-        s = float(cls.multiplier.real if isinstance(cls.multiplier, complex) else cls.multiplier)
-        return cls.kind, _boundary_pair_to_halfplane(*cls.fixed_points), s
+        return Chart(cls.kind, _boundary_pair_to_halfplane(*cls.fixed_points), float(cls.multiplier.real))
     w = cls.fixed_points[0]
-    return cls.kind, _cayley_at(w), _parabolic_translation_length(phi, w)
+    return Chart(cls.kind, _cayley_at(w), _parabolic_translation_length(phi, w))
+
+
+def _same_class(c1: Chart, c2: Chart, tol: float, up_to_conjugate_multiplier: bool = False) -> bool:
+    """Equal kinds and class invariants: multipliers within ``tol``
+    (elliptic, hyperbolic) or equal orientations (parabolic)."""
+    if c1.kind is not c2.kind:
+        return False
+    if c1.kind is Kind.IDENTITY:
+        return True
+    if c1.kind is Kind.PARABOLIC:
+        return (c1.action > 0) is (c2.action > 0)
+    return abs(c1.action - c2.action) <= tol or (
+        up_to_conjugate_multiplier and abs(c1.action - c2.action.conjugate()) <= tol
+    )
 
 
 def canonical_pair(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> CanonicalPair:
     """Canonical form ``kappa`` and conjugator ``eta`` with ``phi = eta o kappa o eta^{-1}``.
 
-    Elliptic maps conjugate to the rotation by their multiplier via the
-    translation taking 0 to the fixed point.  Hyperbolic maps conjugate to
-    ``(z - r)/(1 - r z)`` with ``r = (1 - s)/(1 + s)`` (``s`` the attracting
-    multiplier) via half-plane charts sending the fixed points to 0 and inf.
-    Parabolic maps conjugate to the standard parabolic fixing 1 of the same
-    orientation via half-plane charts and a dilation matching the
-    translation lengths.  Raises ``IdentityError`` for the identity.
+    ``kappa`` is the rotation by the multiplier (elliptic), ``(z - r)/(1 -
+    r z)`` with ``r = (1 - s)/(1 + s)`` for the attracting multiplier ``s``
+    (hyperbolic), or the standard parabolic fixing 1 of the same orientation
+    (parabolic).  ``eta`` is the ``Chart.conjugator`` from the chart of
+    ``kappa``, whose fixed points are known exactly, to that of ``phi``.
+    Raises ``IdentityError`` for the identity.
     """
-    cls = classify(phi, tol)
-    if cls.kind is Kind.IDENTITY:
+    chart = model_chart(phi, tol)
+    kind, s = chart.kind, chart.action
+    if kind is Kind.IDENTITY:
         raise IdentityError("the identity has no canonical conjugacy representative")
-
-    if cls.kind is Kind.ELLIPTIC:
-        z0 = cls.fixed_points[0]
-        kappa = rotation(cls.multiplier)
-        eta = disc_translation(z0)
-        return CanonicalPair(kappa, eta)
-
-    if cls.kind is Kind.HYPERBOLIC:
-        s = float(cls.multiplier.real if isinstance(cls.multiplier, complex) else cls.multiplier)
-        r = (1.0 - s) / (1.0 + s)
-        kappa = standard_hyperbolic(r)
-        b_phi = _boundary_pair_to_halfplane(*cls.fixed_points)
-        b_kappa = _boundary_pair_to_halfplane(-1.0 + 0.0j, 1.0 + 0.0j)
-        eta = _disc_from_matrix(_mat_mul(_mat_inv(b_phi), b_kappa))
-        return CanonicalPair(kappa, eta)
-
-    # parabolic
-    w = cls.fixed_points[0]
-    s_phi = _parabolic_translation_length(phi, w)
-    if cls.orientation is Orientation.PLUS:
-        kappa = parabolic_fixing_one(1j)
-        s_kappa = 2.0
+    if kind is Kind.ELLIPTIC:
+        kappa, fixed = rotation(s), (0.0 + 0.0j,)
+    elif kind is Kind.HYPERBOLIC:
+        kappa, fixed = standard_hyperbolic((1.0 - s) / (1.0 + s)), (-1.0 + 0.0j, 1.0 + 0.0j)
     else:
-        kappa = parabolic_fixing_one(-1j)
-        s_kappa = -2.0
-    scale = s_phi / s_kappa  # positive: same orientation
-    c_w = _cayley_at(w)
-    c_one = _cayley_at(1.0 + 0.0j)
-    dilation = (complex(scale), 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
-    eta = _disc_from_matrix(_mat_mul(_mat_inv(c_w), _mat_mul(dilation, c_one)))
-    return CanonicalPair(kappa, eta)
+        kappa, fixed = parabolic_fixing_one(1j if s > 0 else -1j), (1.0 + 0.0j,)
+    own = _chart(kappa, Classification(kind, fixed, s))
+    return CanonicalPair(kappa, own.conjugator(chart, tol))
 
 
 def find_conjugator(
@@ -571,26 +656,11 @@ def find_conjugator(
     the multiplier for elliptic (as a complex number - a rotation and its
     conjugate rotation are NOT conjugate inside the group, see
     ``are_conjugate``), the attracting multiplier for hyperbolic, and the
-    orientation for parabolic.  The witness is assembled from the canonical
-    conjugators of both maps, so the residual is bounded by ~10x the
-    invariant mismatch.  Identity inputs raise ``IdentityError``.
+    orientation for parabolic.  The witness is ``Chart.conjugator`` between
+    the two model charts, so the residual is bounded by ~10x the invariant
+    mismatch.  Identity inputs raise ``IdentityError``.
     """
-    c1 = classify(phi, tol)
-    c2 = classify(psi, tol)
-    if c1.kind is Kind.IDENTITY or c2.kind is Kind.IDENTITY:
-        raise IdentityError("conjugators of the identity are not meaningful here")
-    if c1.kind is not c2.kind:
-        return None
-    if c1.kind is Kind.ELLIPTIC and abs(c1.multiplier - c2.multiplier) > tol:
-        return None
-    if c1.kind is Kind.HYPERBOLIC and abs(c1.multiplier - c2.multiplier) > tol:
-        return None
-    if c1.kind is Kind.PARABOLIC and c1.orientation is not c2.orientation:
-        return None
-    p1 = canonical_pair(phi, tol)
-    p2 = canonical_pair(psi, tol)
-    # phi = e1 k e1^{-1}, psi = e2 k e2^{-1}  =>  psi = (e2 e1^{-1}) phi (e2 e1^{-1})^{-1}
-    return compose(p2.eta, inverse(p1.eta))
+    return model_chart(phi, tol).conjugator(model_chart(psi, tol), tol)
 
 
 def are_conjugate(
@@ -607,21 +677,7 @@ def are_conjugate(
     reflection), which is why the flag lives on this predicate and not on
     ``find_conjugator``.
     """
-    c1 = classify(phi, tol)
-    c2 = classify(psi, tol)
-    if c1.kind is not c2.kind:
-        return False
-    if c1.kind is Kind.IDENTITY:
-        return True
-    if c1.kind is Kind.ELLIPTIC:
-        if abs(c1.multiplier - c2.multiplier) <= tol:
-            return True
-        if up_to_conjugate_multiplier and abs(c1.multiplier - c2.multiplier.conjugate()) <= tol:
-            return True
-        return False
-    if c1.kind is Kind.HYPERBOLIC:
-        return abs(c1.multiplier - c2.multiplier) <= tol
-    return c1.orientation is c2.orientation
+    return _same_class(model_chart(phi, tol), model_chart(psi, tol), tol, up_to_conjugate_multiplier)
 
 
 # ---------------------------------------------------------------------------
@@ -639,25 +695,9 @@ def commutant_element(phi: DiscAutomorphism, t: float, tol: float = CLASSIFY_TOL
     parameter is ``tanh t``).  ``commutant_element(phi, t + t')`` equals the
     composition of the elements at ``t`` and ``t'``; ``t = 0`` gives the
     identity.  Raises ``IdentityError`` for the identity, whose commutant is
-    the whole group.
+    the whole group.  See ``Chart.commutant``.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"commutant parameter t must be finite, got {t!r}")
-    kind, m, _ = model_chart(phi, tol)
-    if kind is Kind.IDENTITY:
-        raise IdentityError("the commutant of the identity is the whole group")
-    if t == 0.0:
-        return identity()
-
-    if kind is Kind.ELLIPTIC:
-        tau = disc_translation(-m[1])
-        return compose(tau, compose(rotation(cmath.exp(1j * t)), inverse(tau)))
-    if kind is Kind.HYPERBOLIC:
-        model = (complex(math.exp(-2.0 * t)), 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
-    else:
-        model = (1.0 + 0.0j, complex(t), 0.0 + 0.0j, 1.0 + 0.0j)
-    return _disc_from_matrix(_mat_mul(_mat_inv(m), _mat_mul(model, m)))
+    return model_chart(phi, tol).commutant(t)
 
 
 def boundary_points(n: int) -> list:

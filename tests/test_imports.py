@@ -9,6 +9,7 @@ of the modules they come from.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -107,3 +108,15 @@ def test_lazy_name_lists_match_module_all():
         for name in module.__all__:
             assert getattr(hpiso, name) is getattr(module, name)
     assert "ZeroSequence" in dir(hpiso) and "blaschke" in dir(hpiso)
+
+
+def test_no_module_imports_private_moebius_names():
+    # the chart helpers stay behind ``Chart``: other modules use its methods
+    offenders = []
+    for path in sorted(Path(hpiso.__file__).resolve().parent.glob("*.py")):
+        if path.stem == "moebius":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "moebius" and node.level == 1:
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
