@@ -113,11 +113,13 @@ for name, phi in [("hyperbolic", hyp), ("parabolic", par), ("elliptic", ell)]:
     print(f"{name:10s} -> verdict={v.verdict:12s} growth={v.growth:12s} "
           f"certificate={type(v.certificate).__name__}")
 
-# Explicit sequences get heuristic growth fits instead of orbit theory:
+# Explicit sequences have no orbit theory behind them, so no certificate:
+# finitely many terms leave the verdict Undetermined, even for a harmonic
+# decay whose full series (sum 1/n) diverges.
 harmonic = ZeroSequence.explicit([1.0 - 1.0 / (k + 2.0) for k in range(400)])
 v = classify_blaschke(harmonic)
 print(f"{'harmonic':10s} -> verdict={v.verdict:12s} growth={v.growth:12s} "
-      f"(sum 1/n diverges)")
+      f"({v.n_terms} terms, no certificate)")
 
 # ---------------------------------------------------------------------------
 section("Evaluating the product with a certified truncation error")

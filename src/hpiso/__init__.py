@@ -24,11 +24,11 @@ __version__ = "0.1.0"
 #: ``__all__`` (tests/test_imports.py keeps them equal)
 _LAZY = {
     "blaschke": (
-        "ZeroSequence", "ProductSpec", "TailCertificate", "DivergenceCertificate",
-        "MergedTailCertificate", "ConvergencePolicy", "ConvergenceVerdict",
-        "normalized_factor", "convergence_factors", "partial_blaschke_sum",
-        "orbit_terms", "orbit_zeros", "convergence_certificate", "classify_blaschke",
-        "eval_blaschke", "write_orbit_csv", "write_csv_rows",
+        "ZeroSequence", "TailCertificate", "DivergenceCertificate",
+        "MergedTailCertificate", "ConvergenceVerdict", "normalized_factor",
+        "convergence_factors", "partial_blaschke_sum", "orbit_terms",
+        "convergence_certificate", "classify_blaschke", "eval_blaschke",
+        "write_orbit_csv", "write_csv_rows",
     ),
     "hardy": (
         "HpContext", "BoundaryFunction", "IsometrySpec", "CompositionConstant",

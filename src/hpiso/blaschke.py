@@ -8,10 +8,9 @@ A sequence ``(a_k)`` in the disc is a *Blaschke sequence* when
 
 converges locally uniformly (each normalized factor is positive at 0).
 This module builds zero sequences explicitly or along orbits of a disc
-automorphism, decides the Blaschke condition - with *certified* tail bounds
-when the sequence is an orbit, and with a growth fit when only finitely many
-explicit terms are known - and evaluates partial products with a rigorous
-truncation error.
+automorphism, decides the Blaschke condition for orbits with *certified*
+tail or divergence bounds (finitely many explicit terms certify neither), and
+evaluates partial products with a rigorous truncation error.
 
 All tail certificates bound list-indexed tails: ``tail(m)`` dominates
 ``sum_{k >= m} (1 - |a_k|)`` where ``a_k = seq.term(k)``.  Orbit terms come
@@ -39,17 +38,14 @@ from .moebius import (
 
 __all__ = [
     "ZeroSequence",
-    "ProductSpec",
     "TailCertificate",
     "DivergenceCertificate",
     "MergedTailCertificate",
-    "ConvergencePolicy",
     "ConvergenceVerdict",
     "normalized_factor",
     "convergence_factors",
     "partial_blaschke_sum",
     "orbit_terms",
-    "orbit_zeros",
     "convergence_certificate",
     "classify_blaschke",
     "eval_blaschke",
@@ -57,8 +53,6 @@ __all__ = [
     "write_csv_rows",
 ]
 
-#: smallest series length the growth fit will accept
-MIN_FIT_TERMS = 16
 #: smallest n_max accepted by classify_blaschke
 MIN_CLASSIFY_TERMS = 64
 #: hyperbolic chart points below this height are replaced by the fixed point
@@ -177,16 +171,6 @@ class ZeroSequence:
                 )
             return list(self.zeros[:n])
         return orbit_terms(self, n)[0].tolist()
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    """A normalized Blaschke product presented by its zero sequence."""
-
-    zeros: ZeroSequence
-
-    def factor(self, k: int) -> DiscAutomorphism:
-        return normalized_factor(self.zeros.term(k))
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +408,13 @@ def convergence_certificate(seq: ZeroSequence):
 
 
 @dataclass(frozen=True)
-class ConvergencePolicy:
-    """Thresholds for the growth fit on explicit sequences."""
-
-    residual_threshold: float = 0.05
-    min_terms: int = MIN_FIT_TERMS
-
-
-@dataclass(frozen=True)
 class ConvergenceVerdict:
     """Outcome of ``classify_blaschke``.
 
     ``verdict`` is ``Blaschke`` / ``NotBlaschke`` / ``Undetermined``;
-    ``growth`` labels the partial-sum behaviour (``Bounded``,
-    ``Logarithmic``, ``Linear``, ``Other``).  Certified verdicts carry the
-    certificate; fit-based verdicts are extrapolations from finite data and
-    never claim ``Blaschke``.
+    ``growth`` labels the partial-sum behaviour (``Bounded`` or ``Linear``
+    when certified, ``Other`` otherwise).  ``Blaschke`` and ``NotBlaschke``
+    always carry their certificate; ``Undetermined`` carries none.
     """
 
     verdict: str
@@ -473,64 +448,14 @@ def partial_blaschke_sum(seq: ZeroSequence, n: int) -> list:
     return out
 
 
-def orbit_zeros(psi: DiscAutomorphism, phi: DiscAutomorphism, n: int) -> ZeroSequence:
-    """The first ``n`` orbit zeros ``b_k = phi_{-k}(psi^{-1}(0))`` as an
-    explicit sequence (0-indexed, ``b_0`` the zero of ``psi``)."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("N must be at least 1")
-    return ZeroSequence.explicit(tuple(ZeroSequence.orbit(psi, phi).terms_up_to(n)))
-
-
-def _fit_growth(partial: np.ndarray, policy: ConvergencePolicy):
-    """Least-squares comparison of constant / logarithmic / linear models.
-
-    Returns ``(growth_label, ok)`` where ``ok`` says the winning model fit
-    within ``policy.residual_threshold`` relative to the final partial sum.
-    """
-    n = len(partial)
-    lo = max(1, n // 8)
-    ns = np.arange(lo, n + 1, dtype=float)
-    y = partial[lo - 1 :]
-    scale = max(float(partial[-1]), 1e-30)
-
-    resid_const = float(np.sqrt(np.mean((y - y.mean()) ** 2))) / scale
-
-    def lstsq_resid(design):
-        sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-        r = y - design @ sol
-        return float(np.sqrt(np.mean(r * r))) / scale, sol
-
-    a_log = np.column_stack([np.ones_like(ns), np.log(ns)])
-    resid_log, sol_log = lstsq_resid(a_log)
-    a_lin = np.column_stack([np.ones_like(ns), ns])
-    resid_lin, sol_lin = lstsq_resid(a_lin)
-
-    thr = policy.residual_threshold
-    # bounded wins on its own absolute fit: a sequence that is still creeping
-    # toward its limit is always fit slightly better by a tiny positive slope,
-    # and the conservative verdict is the bounded one
-    if resid_const <= thr:
-        return "Bounded", True
-    if resid_log <= thr and resid_log <= resid_lin and sol_log[1] > 0:
-        return "Logarithmic", True
-    if resid_lin <= thr and sol_lin[1] > 0:
-        return "Linear", True
-    return "Other", False
-
-
-def classify_blaschke(
-    seq: ZeroSequence, n_max: int = 256, policy: Optional[ConvergencePolicy] = None
-) -> ConvergenceVerdict:
+def classify_blaschke(seq: ZeroSequence, n_max: int = 256) -> ConvergenceVerdict:
     """Decide the Blaschke condition for a zero sequence.
 
     Orbit-generated sequences get a certified verdict from
-    ``convergence_certificate``.  Explicit sequences get a growth fit of
-    their partial sums; a clean logarithmic or linear fit is reported as
-    ``NotBlaschke``, a bounded fit as ``Undetermined`` - finitely many terms
-    can never certify convergence of the extension.
+    ``convergence_certificate``.  Explicit sequences are ``Undetermined``:
+    finitely many terms certify neither convergence nor divergence of any
+    extension, so only their partial sum is reported.
     """
-    policy = policy or ConvergencePolicy()
     n_max = int(n_max)
     if n_max < MIN_CLASSIFY_TERMS:
         raise DomainError(f"n_max must be at least {MIN_CLASSIFY_TERMS}")
@@ -559,40 +484,13 @@ def classify_blaschke(
         )
 
     n = min(n_max, len(seq.zeros))
-    partials = partial_blaschke_sum(seq, n)
-    partial = np.asarray(partials)
-    total = partials[-1]
-    if n < policy.min_terms:
-        return ConvergenceVerdict(
-            "Undetermined",
-            "Other",
-            f"only {n} terms available; at least {policy.min_terms} needed for a growth fit",
-            n,
-            total,
-        )
-    growth, ok = _fit_growth(partial, policy)
-    if not ok:
-        return ConvergenceVerdict(
-            "Undetermined",
-            growth,
-            "partial sums fit neither a bounded, logarithmic nor linear model",
-            n,
-            total,
-        )
-    if growth == "Bounded":
-        return ConvergenceVerdict(
-            "Undetermined",
-            "Bounded",
-            "partial sums look bounded, but finite data cannot certify convergence",
-            n,
-            total,
-        )
     return ConvergenceVerdict(
-        "NotBlaschke",
-        growth,
-        f"partial sums fit a divergent ({growth.lower()}) growth model",
+        "Undetermined",
+        "Other",
+        f"{n} terms of an explicit sequence cannot certify the Blaschke condition; "
+        "only orbit sequences carry certificates",
         n,
-        total,
+        partial_blaschke_sum(seq, n)[-1],
     )
 
 
@@ -600,15 +498,7 @@ def classify_blaschke(
 # evaluation
 
 
-def _zero_sequence_of(spec_or_seq) -> ZeroSequence:
-    if isinstance(spec_or_seq, ProductSpec):
-        return spec_or_seq.zeros
-    if isinstance(spec_or_seq, ZeroSequence):
-        return spec_or_seq
-    raise DomainError("expected a ZeroSequence or ProductSpec")
-
-
-def eval_blaschke(spec_or_seq, z: complex, n_terms: int = 128):
+def eval_blaschke(seq: ZeroSequence, z: complex, n_terms: int = 128):
     """Evaluate the normalized partial product and certify the truncation.
 
     Returns ``(value, tail_bound)`` with ``value = prod_{k < N} lam_k b_k(z)``
@@ -616,9 +506,11 @@ def eval_blaschke(spec_or_seq, z: complex, n_terms: int = 128):
     ``|1 - lam_k b_k(z)| <= 2 (1 - |a_k|) / (1 - |z|)`` and the certified
     (or, for explicit sequences, exactly summed) tail of ``sum (1 - |a_k|)``;
     factors that this estimate puts within ``2^-54`` of 1 are taken as 1.
-    Requires ``|z| < 1``; divergent orbit sequences raise ``NotCertified``.
+    Requires a ``ZeroSequence`` and ``|z| < 1``; divergent orbit sequences
+    raise ``NotCertified``.
     """
-    seq = _zero_sequence_of(spec_or_seq)
+    if not isinstance(seq, ZeroSequence):
+        raise DomainError("expected a ZeroSequence")
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError("evaluation requires |z| < 1 for a certified tail")

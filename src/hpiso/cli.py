@@ -35,6 +35,9 @@ __all__ = ["main"]
 MAX_ORBIT_ROWS = 1 << 20
 #: largest ``crownover --evidence``: terms of the evidence partial sum
 MAX_EVIDENCE_TERMS = 1 << 20
+#: largest ``verify --grid``, ``rho --grid`` and ``verify --truncate``: boundary
+#: samples, and factors evaluated on every one of them
+MAX_GRID = 1 << 20
 
 #: argument strings read as negative numbers, not options; argparse's own
 #: pattern misses exponent forms such as ``-1e-3``
@@ -163,10 +166,12 @@ def _cmd_verify(args) -> int:
     from .hardy import HpContext, verify_isometry
     from .isometries import truncate_spec
 
+    grid = _count(args.grid, MAX_GRID, "verify --grid")
+    truncate = _count(args.truncate, MAX_GRID, "verify --truncate")
     spec = ser.spec_from_json(_load_json(args.spec))
-    if spec.infinite is not None and args.truncate:
-        spec = truncate_spec(spec, args.truncate)
-    ctx = HpContext(spec.p, args.grid)
+    if spec.infinite is not None:
+        spec = truncate_spec(spec, truncate)
+    ctx = HpContext(spec.p, grid)
     report = verify_isometry(spec, ctx, seed=args.seed, degree=args.degree)
     _emit(report, "verify_report", args.out)
     return 0
@@ -187,7 +192,8 @@ def _cmd_construct(args) -> int:
 def _cmd_rho(args) -> int:
     from .hardy import composition_constant
 
-    cc = composition_constant(_auto(args.phi), _auto(args.psi), args.p, args.grid)
+    grid = _count(args.grid, MAX_GRID, "rho --grid")
+    cc = composition_constant(_auto(args.phi), _auto(args.psi), args.p, grid)
     payload = {
         "rho_closed": ser.complex_to_json(cc.rho_closed),
         "rho_numeric": ser.complex_to_json(cc.rho_numeric),

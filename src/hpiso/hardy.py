@@ -56,6 +56,22 @@ DEFAULT_GRID = 512
 _BLOCK = 16
 
 
+def _exponent(p) -> float:
+    """``p`` as a float, checked to be a finite real number ``>= 1``."""
+    p = float(p)
+    if not (math.isfinite(p) and p >= 1.0):
+        raise DomainError("p must be a finite real number with p >= 1")
+    return p
+
+
+def _grid_size(n) -> int:
+    """``n`` as an int, checked to be a power of two, at least 64."""
+    n = int(n)
+    if n < 64 or n & (n - 1) != 0:
+        raise DomainError("grid_size must be a power of two, at least 64")
+    return n
+
+
 @dataclass(frozen=True)
 class HpContext:
     """Exponent ``p`` and boundary grid resolution for H^p computations.
@@ -70,12 +86,8 @@ class HpContext:
     grid_size: int = DEFAULT_GRID
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (math.isfinite(p) and p >= 1.0):
-            raise DomainError("p must be a finite real number with p >= 1")
-        n = int(self.grid_size)
-        if n < 64 or n & (n - 1) != 0:
-            raise DomainError("grid_size must be a power of two, at least 64")
+        p = _exponent(self.p)
+        n = _grid_size(self.grid_size)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "grid_size", n)
         if p == 2.0:
@@ -107,9 +119,7 @@ class BoundaryFunction:
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise DomainError("coefficients must form a nonempty 1-d sequence")
-        n = int(grid_size)
-        if n < 64 or n & (n - 1) != 0:
-            raise DomainError("grid_size must be a power of two, at least 64")
+        n = _grid_size(grid_size)
         if coeffs.size - 1 >= n // 4:
             raise DegreeError(
                 f"degree {coeffs.size - 1} too high for grid {n}; need degree < N/4"
@@ -158,9 +168,7 @@ class IsometrySpec:
     infinite: object = None
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (math.isfinite(p) and p >= 1.0):
-            raise DomainError("p must be a finite real number with p >= 1")
+        p = _exponent(self.p)
         phase = complex(self.phase)
         if phase == 0 or not math.isfinite(abs(phase)):
             raise DomainError("phase must be a finite nonzero complex number")
@@ -252,9 +260,7 @@ def weight_function(phi: DiscAutomorphism, p: float, z):
     ``1 - conj(a) z``, whose real part is positive on the closed disc, so the
     principal power below is the analytic branch that is positive at 0.
     """
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError("p must be a finite real number with p >= 1")
+    p = _exponent(p)
     scalar = np.isscalar(z) or isinstance(z, complex)
     zz = np.asarray(z, dtype=complex)
     den = 1.0 - np.conj(phi.a) * zz
@@ -300,9 +306,7 @@ def rho_closed_form(phi: DiscAutomorphism, psi: DiscAutomorphism, p: float) -> c
 
         rho = exp(i (2/p) Arg(1 + conj(lam_phi a_phi) a_psi)).
     """
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError("p must be a finite real number with p >= 1")
+    p = _exponent(p)
     inner = 1.0 + (phi.lam * phi.a).conjugate() * psi.a
     return cmath.exp(1j * (2.0 / p) * cmath.phase(inner))
 

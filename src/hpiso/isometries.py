@@ -103,7 +103,12 @@ def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] 
     indices = []
     n = 2
     for k in range(1, count + 1):
-        target = budget / 2.0**k
+        target = math.ldexp(budget, -k)  # 2.0**k overflows once k >= 1024
+        if target == 0.0:
+            raise NotCertified(
+                f"greedy thinning target budget/2^k left the float range at k = {k} "
+                "(it underflows to 0); request fewer thinned indices"
+            )
         if cert.tail(n - 1) >= target:
             # the next index is the first n with tail(n - 1) < target
             if cert.tail(MAX_THINNING_INDEX - 1) >= target:

@@ -21,7 +21,6 @@ from hpiso import (
     GeneratorExhausted,
     MergedTailCertificate,
     NotCertified,
-    ProductSpec,
     TailCertificate,
     ZeroSequence,
     classify,
@@ -35,7 +34,6 @@ from hpiso import (
     inverse,
     iterate,
     normalized_factor,
-    orbit_zeros,
     partial_blaschke_sum,
     rotation,
     standard_hyperbolic,
@@ -139,15 +137,6 @@ def test_partial_blaschke_sum_prefix_list(rng):
     assert all(b >= a for a, b in zip(partials, partials[1:]))
     with pytest.raises(DomainError):
         partial_blaschke_sum(seq, 0)
-
-
-def test_orbit_zeros_materializes_the_orbit(rng):
-    phi = random_hyperbolic(rng)
-    psi = normalized_factor(interior_point(rng, 0.5))
-    explicit = orbit_zeros(psi, phi, 16)
-    assert explicit.is_explicit
-    lazy = ZeroSequence.orbit(psi, phi).terms_up_to(16)
-    assert all(abs(x - y) < 1e-15 for x, y in zip(explicit.zeros, lazy))
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +296,34 @@ def test_classify_verdict_stable_under_more_terms(rng):
 
 
 def test_classify_explicit_fits():
-    # harmonic-type decay 1 - |a_k| = 1/(k+2): logarithmic growth, divergent
-    zeros = [1.0 - 1.0 / (k + 2.0) for k in range(600)]
-    v = classify_blaschke(ZeroSequence.explicit(zeros), n_max=600)
-    assert v.verdict == "NotBlaschke" and v.growth == "Logarithmic"
+    # finitely many terms certify nothing, whatever their partial sums look like
+    cases = (
+        ([1.0 - 1.0 / (k + 2.0) for k in range(600)], 600),  # harmonic decay
+        ([0.5 * 1j ** (k % 4) for k in range(300)], 300),  # constant modulus
+        ([1.0 - 2.0 ** (-k) for k in range(1, 45)], 128),  # summable geometric decay
+    )
+    for zeros, n_max in cases:
+        v = classify_blaschke(ZeroSequence.explicit(zeros), n_max=n_max)
+        assert v.verdict == "Undetermined" and v.growth == "Other"
+        assert v.certificate is None
 
-    # constant modulus: linear growth, divergent
-    zeros = [0.5 * 1j ** (k % 4) for k in range(300)]
-    v = classify_blaschke(ZeroSequence.explicit(zeros), n_max=300)
-    assert v.verdict == "NotBlaschke" and v.growth == "Linear"
 
-    # summable geometric decay: bounded, but finite data cannot certify
-    zeros = [1.0 - 2.0 ** (-k) for k in range(1, 45)]
-    v = classify_blaschke(ZeroSequence.explicit(zeros), n_max=128)
-    assert v.verdict == "Undetermined" and v.growth == "Bounded"
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=0.999, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=600,
+    ),
+    st.integers(min_value=64, max_value=700),
+)
+def test_classify_explicit_is_always_undetermined(zeros, n_max):
+    seq = ZeroSequence.explicit(zeros)
+    v = classify_blaschke(seq, n_max=n_max)
+    n = min(n_max, len(zeros))
+    assert v.verdict == "Undetermined" and v.growth == "Other"
+    assert v.n_terms == n and f"{n} terms" in v.reason
+    assert v.partial_sum == partial_blaschke_sum(seq, n)[-1]
 
 
 def test_classify_explicit_too_short():
@@ -383,10 +386,6 @@ def test_eval_blaschke_truncation_bound(rng):
         v32, bound32 = eval_blaschke(seq, z, n_terms=32)
         v2048, _ = eval_blaschke(seq, z, n_terms=2048)
         assert abs(v2048 - v32) <= bound32 + NOISE
-    spec = ProductSpec(seq)
-    v_spec, _ = eval_blaschke(spec, 0.3 + 0.1j, n_terms=32)
-    assert v_spec == eval_blaschke(seq, 0.3 + 0.1j, n_terms=32)[0]
-    assert abs(eval_auto(spec.factor(0), spec.zeros.term(0))) < 1e-15
 
 
 def test_eval_blaschke_rejects_divergent_and_boundary(rng):
@@ -396,6 +395,12 @@ def test_eval_blaschke_rejects_divergent_and_boundary(rng):
     ok_seq = ZeroSequence.explicit([0.5])
     with pytest.raises(DomainError):
         eval_blaschke(ok_seq, 1.0)
+
+
+def test_eval_blaschke_rejects_non_sequences():
+    for arg in ([0.5, 0.25], normalized_factor(0.5), None):
+        with pytest.raises(DomainError):
+            eval_blaschke(arg, 0.1)
 
 
 def test_eval_blaschke_explicit_exact_tail():

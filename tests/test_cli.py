@@ -445,3 +445,108 @@ def test_caps_admit_the_limit(monkeypatch):
     assert run_cli("orbit", "--phi", PHI_I, "--n", str(cli.MAX_ORBIT_ROWS))[0] == 0
     assert run_cli("crownover", "--spec", spec, "--evidence", str(cli.MAX_EVIDENCE_TERMS))[0] == 0
     assert seen == {"orbit": cli.MAX_ORBIT_ROWS, "crownover": cli.MAX_EVIDENCE_TERMS}
+
+
+# ---------------------------------------------------------------------------
+# caps on the grid sizes and the truncation level (checked before any work)
+
+FINITE_SPEC = spec_json(IsometrySpec(3.0, 1.0, (normalized_factor(0.3),), standard_hyperbolic(0.5)))
+OVER_CAP = str(2 * cli.MAX_GRID)
+
+
+def test_grid_and_truncation_caps():
+    # refused before any grid is allocated, and whether or not the spec has
+    # an infinite construction to truncate
+    for argv in (
+        ("verify", "--spec", FINITE_SPEC, "--grid", OVER_CAP),
+        ("verify", "--spec", FINITE_SPEC, "--truncate", OVER_CAP),
+        ("rho", "--phi", PHI_I, "--psi", PSI_HALF, "--p", "3", "--grid", OVER_CAP),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 4 and out == ""
+        assert_error_line(err, "DomainError")
+        assert str(cli.MAX_GRID) in json.loads(err)["message"]
+
+
+def test_grid_caps_admit_the_limit(monkeypatch):
+    import hpiso.hardy
+    import hpiso.isometries
+
+    seen = {}
+
+    def fake_verify(spec, ctx, seed=0, degree=None):
+        seen["verify"] = ctx.grid_size
+        return {"norm_in": 1.0, "norm_out": 1.0, "rel_defect": 0.0, "N": ctx.grid_size}
+
+    def fake_truncate(spec, n_terms):
+        seen["truncate"] = n_terms
+        return IsometrySpec(spec.p, spec.phase, (), spec.phi)
+
+    def fake_rho(phi, psi, p, grid_size):
+        seen["rho"] = grid_size
+        return hpiso.hardy.CompositionConstant(1.0, 1.0, 0.0)
+
+    monkeypatch.setattr(hpiso.hardy, "verify_isometry", fake_verify)
+    monkeypatch.setattr(hpiso.isometries, "truncate_spec", fake_truncate)
+    monkeypatch.setattr(hpiso.hardy, "composition_constant", fake_rho)
+    phi = standard_hyperbolic(0.4)
+    inf_spec = spec_json(IsometrySpec(3.0, 1.0, (), phi, infinite=construct_zero_intersection(phi)))
+    cap = str(cli.MAX_GRID)
+    assert run_cli("verify", "--spec", inf_spec, "--grid", cap, "--truncate", cap)[0] == 0
+    assert run_cli("rho", "--phi", PHI_I, "--psi", PSI_HALF, "--p", "3", "--grid", cap)[0] == 0
+    assert seen == {"verify": cli.MAX_GRID, "truncate": cli.MAX_GRID, "rho": cli.MAX_GRID}
+
+
+# ---------------------------------------------------------------------------
+# hostile numeric input: every subcommand fails with one JSON line
+
+NAN_PHI = '{"lambda":{"re":NaN,"im":0},"a":{"re":0.5,"im":0}}'
+INF_PHI = '{"lambda":{"re":1,"im":0},"a":{"re":Infinity,"im":0}}'
+HYP_HALF = ser.dumps(ser.automorphism_to_json(standard_hyperbolic(0.5)))
+HOSTILE = [
+    # (argv without the value, values); each value must fail with exit 2, 3 or 4
+    (("classify", "--phi", PHI_I, "--tol"), ("nan", "inf", "-1", "0", "1")),
+    (("classify", "--phi"), (NAN_PHI, INF_PHI)),
+    (("compose", "--inner", PSI_HALF, "--outer"), (NAN_PHI, INF_PHI)),
+    (("iterate", "--phi", PHI_I, "--n"), ("nan", "1e3", "1000000000")),
+    (("iterate", "--phi", PHI_I, "--n", "3", "--at"),
+     ('{"re":NaN,"im":0}', '{"re":Infinity,"im":0}', '{"re":-2,"im":0}')),
+    (("orbit", "--phi", PHI_I, "--n"), ("nan", "-1", "0", OVER_CAP)),
+    (("crownover", "--spec", FINITE_SPEC, "--evidence"), ("nan", "-1", "0", OVER_CAP)),
+    (("equiv", "--s1", FINITE_SPEC, "--s2", FINITE_SPEC, "--tol"), ("nan", "inf", "-1", "0")),
+    (("commutant", "--phi", PSI_HALF, "--t"), ("nan", "inf", "-inf")),
+    (("verify", "--spec", FINITE_SPEC, "--grid"), ("nan", "-1", "0", "100", OVER_CAP)),
+    (("verify", "--spec", FINITE_SPEC, "--truncate"), ("nan", "-1", "0", OVER_CAP)),
+    (("verify", "--spec", FINITE_SPEC, "--seed"), ("nan", "-1")),
+    (("verify", "--spec", FINITE_SPEC, "--grid", "256", "--degree"), ("nan", "-1", "64")),
+    (("construct", "--phi", HYP_HALF, "--kind", "nonzero", "--count"), ("nan", "-1", "0", "2000")),
+    (("rho", "--phi", PHI_I, "--psi", PSI_HALF, "--p"), ("nan", "inf", "-inf", "-1", "0")),
+    (("rho", "--phi", PHI_I, "--psi", PSI_HALF, "--p", "3", "--grid"), ("nan", "-1", "0", OVER_CAP)),
+]
+
+
+def run_any(*args):
+    """``run_cli`` that also returns the exit code of a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_hostile_numeric_options():
+    assert {argv[0] for argv, _ in HOSTILE} == {
+        "classify", "compose", "iterate", "orbit", "crownover",
+        "equiv", "commutant", "verify", "construct", "rho",
+    }
+    for argv, values in HOSTILE:
+        for value in values:
+            code, out, err = run_any(*argv, value)
+            assert code in (2, 3, 4), (argv[0], argv[-1], value, code)
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1, (argv[0], argv[-1], value, err)
+            obj = json.loads(lines[0])
+            assert set(obj) == {"error", "message"} and isinstance(obj["message"], str)

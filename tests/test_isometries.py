@@ -265,6 +265,16 @@ def test_thinned_deep_truncation_not_certified():
         con.own_zeros(64)
 
 
+def test_thinned_target_underflow_not_certified():
+    # a contracting symbol's indices grow by one per halving of the budget, so
+    # the halvings run out of floats long before the index cap: 2.0**k is not
+    # a float from k = 1024 on, and budget / 2^k reaches 0 by k = 1075
+    phi = standard_hyperbolic(0.5)
+    assert len(construct_nonzero_intersection(phi, 1024).indices) == 1024
+    with pytest.raises(NotCertified, match="float range"):
+        construct_nonzero_intersection(phi, 2000)
+
+
 def test_backward_orbit_accumulated_sequence_is_recurring_zero(rng):
     phi = random_hyperbolic(rng)
     con = construct_zero_intersection(phi)
