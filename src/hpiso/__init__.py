@@ -4,10 +4,11 @@ built from them — with decision procedures for classification, isometric
 equivalence, the Crownover range-intersection dichotomy, and certified
 convergence bounds throughout.
 
-``errors`` and ``moebius`` (pure Python) load with the package.  The numpy
-modules ``blaschke``, ``hardy`` and ``isometries`` load on first access to
-one of their names (PEP 562), so ``from hpiso import classify`` and the CLI's
-automorphism subcommands never import numpy.
+``errors`` and ``moebius`` (pure Python) load with the package.  The other
+modules load on first access to one of their names (PEP 562): the pure-Python
+``spec`` and ``equivalence``, and the numpy modules ``blaschke``, ``hardy``
+and ``isometries``.  So ``from hpiso import classify``, ``decide_equivalent``
+and the CLI's automorphism and ``equiv`` subcommands never import numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .moebius import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-#: public names of the numpy modules, by module; each list is that module's
-#: ``__all__`` (tests/test_imports.py keeps them equal)
+#: public names of the lazily loaded modules, by module; each list is that
+#: module's ``__all__`` (tests/test_imports.py keeps them equal)
 _LAZY = {
     "blaschke": (
         "ZeroSequence", "TailCertificate", "DivergenceCertificate",
@@ -30,28 +31,28 @@ _LAZY = {
         "convergence_certificate", "classify_blaschke", "eval_blaschke",
         "write_orbit_csv", "write_csv_rows",
     ),
+    "spec": ("IsometrySpec",),
     "hardy": (
-        "HpContext", "BoundaryFunction", "IsometrySpec", "CompositionConstant",
+        "HpContext", "BoundaryFunction", "CompositionConstant",
         "inner_product_values", "hp_norm", "weight_function", "apply_isometry",
         "composition_constant", "rho_closed_form", "random_polynomial",
         "verify_isometry",
     ),
     "isometries": (
-        "InfiniteConstruction", "CrownoverVerdict", "EquivWitness",
-        "InvariantSubspaceReport", "codimension", "decide_crownover", "evidence_rows",
+        "InfiniteConstruction", "CrownoverVerdict", "InvariantSubspaceReport",
+        "codimension", "decide_crownover", "evidence_rows",
         "construct_zero_intersection", "construct_nonzero_intersection",
         "zero_intersection_shift_defect", "truncate_spec", "conjugated_spec",
-        "invariant_subspace_check", "decide_equivalent",
+        "invariant_subspace_check",
     ),
+    "equivalence": ("EquivWitness", "decide_equivalent"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "__version__",
     *moebius.__all__,
-    *_LAZY["blaschke"],
-    *_LAZY["hardy"],
-    *_LAZY["isometries"],
+    *_HOME,  # the names of _LAZY, module by module
     *errors.__all__,
 ]
 

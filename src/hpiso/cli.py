@@ -15,7 +15,8 @@ Conventions
 * Numeric options take negative values in exponent form too
   (``--t -1e-3``).
 * Each subcommand imports the modules it needs: ``classify``, ``compose``,
-  ``iterate`` and ``commutant`` load neither numpy nor jsonschema.
+  ``iterate``, ``commutant`` and ``equiv`` (on finite specs) load neither
+  numpy nor jsonschema.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _cmd_crownover(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .isometries import decide_equivalent
+    from .equivalence import decide_equivalent
 
     s1 = ser.spec_from_json(_load_json(args.s1))
     s2 = ser.spec_from_json(_load_json(args.s2))

@@ -8,7 +8,7 @@ with ``Psi`` a finite (or truncated infinite) Blaschke product, is an
 isometry of H^p: ``|Psi| = 1`` on the circle, ``|phi'|`` is the boundary
 Jacobian of ``phi``, and the change of variables absorbs it.  For ``p != 2``
 every isometry of H^p has this form, which is what makes the data class
-``IsometrySpec`` a complete description.
+``IsometrySpec`` (``hpiso.spec``) a complete description.
 
 The branch: ``conj(lam) phi'(z) = (1 - |a|^2)/(1 - conj(a) z)^2`` has
 argument ``-2 Arg(1 - conj(a) z)``, and ``Re(1 - conj(a) z) >= 1 - |a| > 0``
@@ -29,11 +29,11 @@ import numpy as np
 
 from .errors import BranchError, DegreeError, DomainError, GridMismatch
 from .moebius import DiscAutomorphism
+from .spec import IsometrySpec, _exponent
 
 __all__ = [
     "HpContext",
     "BoundaryFunction",
-    "IsometrySpec",
     "CompositionConstant",
     "inner_product_values",
     "hp_norm",
@@ -54,14 +54,6 @@ DEFAULT_GRID = 512
 #: and its denominator above ``1e-224``: neither leaves the normal range.
 #: (The first denominator also carries ``1/phase``, of modulus 1.)
 _BLOCK = 16
-
-
-def _exponent(p) -> float:
-    """``p`` as a float, checked to be a finite real number ``>= 1``."""
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError("p must be a finite real number with p >= 1")
-    return p
 
 
 def _grid_size(n) -> int:
@@ -148,44 +140,6 @@ class BoundaryFunction:
 
     def __call__(self, z):
         return np.polyval(self._coeffs[::-1], z)
-
-
-@dataclass(frozen=True)
-class IsometrySpec:
-    """Data of a weighted composition isometry of H^p.
-
-    ``phase`` is renormalized to unit modulus.  ``psi_zeros`` holds the
-    finite Blaschke factors of ``Psi`` as disc automorphisms - each factor's
-    own phase is part of the factor.  ``infinite`` optionally names an
-    infinite-product construction (see ``hpiso.isometries``); such specs
-    must be truncated before they can be applied to functions.
-    """
-
-    p: float
-    phase: complex
-    psi_zeros: tuple
-    phi: DiscAutomorphism
-    infinite: object = None
-
-    def __post_init__(self):
-        p = _exponent(self.p)
-        phase = complex(self.phase)
-        if phase == 0 or not math.isfinite(abs(phase)):
-            raise DomainError("phase must be a finite nonzero complex number")
-        factors = tuple(self.psi_zeros)
-        for fac in factors:
-            if not isinstance(fac, DiscAutomorphism):
-                raise DomainError("psi_zeros must contain DiscAutomorphism factors")
-        if not isinstance(self.phi, DiscAutomorphism):
-            raise DomainError("phi must be a DiscAutomorphism")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "phase", phase / abs(phase))
-        object.__setattr__(self, "psi_zeros", factors)
-
-    def inner_values(self, z):
-        """Values of the finite part of ``Psi`` at ``z`` (scalar or array)."""
-        lam = math.prod(fac.lam for fac in self.psi_zeros)
-        return inner_product_values([fac.a for fac in self.psi_zeros], z, lam)
 
 
 def inner_product_values(zeros, z, phase: complex = 1.0):
@@ -392,6 +346,8 @@ def verify_isometry(
     if f is None:
         if degree is None:
             degree = min(24, ctx.grid_size // 4 - 1)
+        elif degree >= ctx.grid_size // 4:  # BoundaryFunction's cap, before the O(degree^2) build
+            raise DegreeError(f"degree {degree} too high for grid {ctx.grid_size}; need degree < N/4")
         rng = np.random.default_rng(seed)
         f = BoundaryFunction(random_polynomial(rng, degree), ctx.grid_size)
     out = apply_isometry(spec, f, ctx)

@@ -17,8 +17,8 @@ draft-07 keywords those schemas use (``_compile``; any other keyword is
 refused at compile time).  jsonschema stays the authority: it is imported
 only when the predicate rejects an object, and ``jsonschema.validate`` then
 raises the error.  The blaschke, hardy and isometries modules (and with them
-numpy) are imported by the functions that need them, so automorphism and
-classification round trips load neither numpy nor jsonschema.
+numpy) are imported by the functions that need them, so automorphism,
+classification and finite spec round trips load neither numpy nor jsonschema.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from .moebius import Classification, DiscAutomorphism
 
 if TYPE_CHECKING:
     from .blaschke import ConvergenceVerdict, ZeroSequence
-    from .hardy import IsometrySpec
-    from .isometries import CrownoverVerdict, EquivWitness, InfiniteConstruction
+    from .equivalence import EquivWitness
+    from .isometries import CrownoverVerdict, InfiniteConstruction
+    from .spec import IsometrySpec
 
 __all__ = [
     "validate",
@@ -348,7 +349,7 @@ def spec_to_json(spec: IsometrySpec) -> dict:
 
 
 def spec_from_json(obj) -> IsometrySpec:
-    from .hardy import IsometrySpec
+    from .spec import IsometrySpec
 
     validate("spec", obj)
     infinite = obj.get("infinite")

@@ -1,0 +1,64 @@
+"""The data of a weighted composition isometry of H^p, without numpy.
+
+``IsometrySpec`` and the one check of the exponent ``p`` live here, so the
+equivalence procedure and the CLI build and compare specs without loading
+the boundary-grid numerics of ``hardy``; only ``inner_values`` needs them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import DomainError
+from .moebius import DiscAutomorphism
+
+__all__ = ["IsometrySpec"]
+
+
+def _exponent(p) -> float:
+    """``p`` as a float, checked to be a finite real number ``>= 1``."""
+    p = float(p)
+    if not (math.isfinite(p) and p >= 1.0):
+        raise DomainError("p must be a finite real number with p >= 1")
+    return p
+
+
+@dataclass(frozen=True)
+class IsometrySpec:
+    """Data of a weighted composition isometry of H^p.
+
+    ``phase`` is renormalized to unit modulus.  ``psi_zeros`` holds the
+    finite Blaschke factors of ``Psi`` as disc automorphisms - each factor's
+    own phase is part of the factor.  ``infinite`` optionally names an
+    infinite-product construction (see ``hpiso.isometries``); such specs
+    must be truncated before they can be applied to functions.
+    """
+
+    p: float
+    phase: complex
+    psi_zeros: tuple
+    phi: DiscAutomorphism
+    infinite: object = None
+
+    def __post_init__(self):
+        p = _exponent(self.p)
+        phase = complex(self.phase)
+        if phase == 0 or not math.isfinite(abs(phase)):
+            raise DomainError("phase must be a finite nonzero complex number")
+        factors = tuple(self.psi_zeros)
+        for fac in factors:
+            if not isinstance(fac, DiscAutomorphism):
+                raise DomainError("psi_zeros must contain DiscAutomorphism factors")
+        if not isinstance(self.phi, DiscAutomorphism):
+            raise DomainError("phi must be a DiscAutomorphism")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "phase", phase / abs(phase))
+        object.__setattr__(self, "psi_zeros", factors)
+
+    def inner_values(self, z):
+        """Values of the finite part of ``Psi`` at ``z`` (scalar or array)."""
+        from .hardy import inner_product_values
+
+        lam = math.prod(fac.lam for fac in self.psi_zeros)
+        return inner_product_values([fac.a for fac in self.psi_zeros], z, lam)

@@ -503,6 +503,13 @@ def test_grid_caps_admit_the_limit(monkeypatch):
 NAN_PHI = '{"lambda":{"re":NaN,"im":0},"a":{"re":0.5,"im":0}}'
 INF_PHI = '{"lambda":{"re":1,"im":0},"a":{"re":Infinity,"im":0}}'
 HYP_HALF = ser.dumps(ser.automorphism_to_json(standard_hyperbolic(0.5)))
+IDENT_NEAR = spec_json(
+    IsometrySpec(3.0, 1.0, (normalized_factor(0.1), normalized_factor(-0.1)), identity())
+)
+IDENT_FAR = spec_json(
+    IsometrySpec(3.0, 1.0, (normalized_factor(0.8), normalized_factor(-0.8)), identity())
+)
+IDENT_BAD_TOLS = ("nan", "inf", "-1", "0", "1e-3", "1e300")
 HOSTILE = [
     # (argv without the value, values); each value must fail with exit 2, 3 or 4
     (("classify", "--phi", PHI_I, "--tol"), ("nan", "inf", "-1", "0", "1")),
@@ -514,6 +521,8 @@ HOSTILE = [
     (("orbit", "--phi", PHI_I, "--n"), ("nan", "-1", "0", OVER_CAP)),
     (("crownover", "--spec", FINITE_SPEC, "--evidence"), ("nan", "-1", "0", OVER_CAP)),
     (("equiv", "--s1", FINITE_SPEC, "--s2", FINITE_SPEC, "--tol"), ("nan", "inf", "-1", "0")),
+    (("equiv", "--s1", IDENT_NEAR, "--s2", IDENT_NEAR, "--tol"), IDENT_BAD_TOLS),
+    (("equiv", "--s1", IDENT_NEAR, "--s2", IDENT_FAR, "--tol"), IDENT_BAD_TOLS),
     (("commutant", "--phi", PSI_HALF, "--t"), ("nan", "inf", "-inf")),
     (("verify", "--spec", FINITE_SPEC, "--grid"), ("nan", "-1", "0", "100", OVER_CAP)),
     (("verify", "--spec", FINITE_SPEC, "--truncate"), ("nan", "-1", "0", OVER_CAP)),
@@ -550,3 +559,30 @@ def test_hostile_numeric_options():
             assert len(lines) == 1, (argv[0], argv[-1], value, err)
             obj = json.loads(lines[0])
             assert set(obj) == {"error", "message"} and isinstance(obj["message"], str)
+
+
+def test_equiv_tol_range_holds_for_identity_symbols():
+    # the identity branch used to skip the check: 1e300 certified a false
+    # witness for the {0.1, -0.1} / {0.8, -0.8} pair, nan and 0 left two
+    # identical specs undetermined
+    for s2 in (IDENT_NEAR, IDENT_FAR):
+        for tol in IDENT_BAD_TOLS:
+            code, out, err = run_any("equiv", "--s1", IDENT_NEAR, "--s2", s2, "--tol", tol)
+            assert code == 4 and out == "", (tol, code, out)
+            assert_error_line(err, "DomainError")
+            assert json.loads(err)["message"] == "classification tolerance must lie in [1e-14, 1e-4]"
+
+
+def test_verify_degree_is_checked_before_the_test_polynomial(monkeypatch):
+    import hpiso.hardy
+
+    def refuse(rng, degree, min_root_modulus=1.3):
+        raise AssertionError("random_polynomial ran before the degree check")
+
+    monkeypatch.setattr(hpiso.hardy, "random_polynomial", refuse)
+    code, out, err = run_cli("verify", "--spec", FINITE_SPEC, "--degree", "2000")
+    assert code == 4 and out == ""
+    assert_error_line(err, "DegreeError")
+    assert json.loads(err)["message"] == "degree 2000 too high for grid 512; need degree < N/4"
+    monkeypatch.undo()
+    assert run_cli("verify", "--spec", FINITE_SPEC, "--degree", "127")[0] == 0  # 512/4 - 1

@@ -530,6 +530,27 @@ def test_equivalence_identity_symbol_ambiguity(rng):
         decide_equivalent(s1, s2)
 
 
+def test_equivalence_checks_tol_for_every_symbol(rng):
+    # the range ``classify`` accepts, checked before any early return: an
+    # identity symbol never reaches ``classify``, and a huge ``tol`` there
+    # would accept the ``{0.1, -0.1}`` / ``{0.8, -0.8}`` pair
+    near = IsometrySpec(3.0, 1.0, (normalized_factor(0.1), normalized_factor(-0.1)), identity())
+    far = IsometrySpec(3.0, 1.0, (normalized_factor(0.8), normalized_factor(-0.8)), identity())
+    pairs = [
+        (near, near),
+        (near, far),
+        (IsometrySpec(3.0, 1.0, (), identity()),) * 2,
+        (near, finite_spec(rng, random_hyperbolic(rng), 2)),
+        (near, finite_spec(rng, identity(), 3)),
+    ]
+    for s1, s2 in pairs:
+        for tol in (math.nan, math.inf, -1.0, 0.0, 1e-3, 1e300, 1e-15):
+            with pytest.raises(DomainError, match=r"must lie in \[1e-14, 1e-4\]"):
+                decide_equivalent(s1, s2, tol)
+    for tol in (1e-14, 1e-4):
+        assert decide_equivalent(near, near, tol).residual <= tol
+
+
 def test_equivalence_respects_multiplicity(rng):
     # same two zeros but one doubled: multiset match must fail
     z = 0.4 + 0.1j

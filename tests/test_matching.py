@@ -26,7 +26,7 @@ from hpiso import (
     rotation,
     standard_hyperbolic,
 )
-from hpiso.isometries import _multiset_match
+from hpiso.equivalence import _multiset_match
 
 B = 0.3 + 0.2j
 #: six zeros shared by both sides, far from ``B`` and from each other
