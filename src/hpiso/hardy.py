@@ -48,12 +48,70 @@ __all__ = [
 #: default number of boundary samples
 DEFAULT_GRID = 512
 #: factors multiplied per division in ``inner_product_values``.  For
-#: ``|z| <= 1`` each numerator factor has ``|z - a| <= 2`` and each
-#: denominator factor ``|1 - conj(a) z| >= 1 - |a| >= 1e-14`` (zeros obey
-#: ``|a| <= MAX_ZERO_MODULUS``), so a block's numerator stays below ``2^16``
-#: and its denominator above ``1e-224``: neither leaves the normal range.
-#: (The first denominator also carries ``1/phase``, of modulus 1.)
+#: ``|z| <= 1`` each numerator factor has ``|z - a| <= 2``.  A denominator
+#: factor is ``1 - conj(a) z`` for ``|a| < 1/2``, between 1/2 and 3/2, and
+#: ``z - 1/conj(a)`` for ``|a| >= 1/2``, between ``(1 - |a|)/|a| >= 1e-14``
+#: (zeros obey ``|a| <= MAX_ZERO_MODULUS``) and 3.  So a block's numerator
+#: stays below ``2^16`` and its denominator between ``1e-224`` and ``3^16``;
+#: the block scalar (``1/phase`` times the ``-conj(a)`` of the reflected
+#: factors) has modulus between ``2^-16`` and 1: nothing leaves the normal
+#: range.
 _BLOCK = 16
+#: terms per pass of ``_exact_sum``; its scratch is a few arrays of this
+#: length and two exponent-bucket accumulators, about 0.3 MB in all
+_SUM_CHUNK = 8192
+#: ``_exact_sum`` sums its 26/27-bit halves in float64, exactly below 2^53
+_SUM_MAX_TERMS = 2**26
+#: ``np.frexp`` exponents of finite doubles lie in [-1073, 1024]
+_SUM_BUCKETS = 1074 + 1024 + 1
+
+
+def _circle(n: int, radius: float = 1.0) -> np.ndarray:
+    """The ``n`` points ``radius * exp(2 pi i k / n)``, ``k = 0..n-1``."""
+    z = 2j * np.pi * np.arange(n)
+    z /= n
+    np.exp(z, out=z)
+    if radius != 1.0:
+        z *= radius
+    return z
+
+
+def _exact_sum(x) -> float:
+    """``math.fsum(x)`` bit for bit, for a float array: a small superaccumulator.
+
+    Each term ``m 2^e`` (``np.frexp``) splits into a 27-bit integer high half
+    and a 26-bit low half of its 53-bit significand; ``np.bincount`` sums each
+    half per exponent, exactly, because fewer than ``2^26`` terms keep every
+    bucket below ``2^53``.  The buckets meet in one Python int, and the int
+    true division rounds that exact sum once, to nearest even, as ``fsum``
+    does.  Input with a negative, infinite or nan term, with ``2^26`` terms
+    or more, or that sums to zero (whose sign ``fsum`` decides) goes to
+    ``fsum`` itself, as does a sum that overflows.  (Neal, "Fast exact
+    summation using small and large superaccumulators", arXiv:1505.05571.)
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if not (0 < x.size < _SUM_MAX_TERMS and x.min() >= 0.0 and x.max() < math.inf):
+        return math.fsum(x.tolist())
+    high = np.zeros(_SUM_BUCKETS)
+    low = np.zeros(_SUM_BUCKETS)
+    for start in range(0, x.size, _SUM_CHUNK):
+        m, e = np.frexp(x[start : start + _SUM_CHUNK])
+        m *= 2.0**27  # from [1/2, 1) to [2^26, 2^27): the integer part is the high half
+        top = np.floor(m)
+        m -= top  # exact: the low half, as a multiple of 2^-26
+        e += 1074  # bucket index; subnormals have e >= -1073
+        high += np.bincount(e, top, _SUM_BUCKETS)
+        low += np.bincount(e, m, _SUM_BUCKETS)
+    low *= 2.0**26
+    total = 0
+    for k in np.flatnonzero(high + low).tolist():
+        total += ((int(high[k]) << 26) + int(low[k])) << k
+    if total == 0:
+        return math.fsum(x.tolist())
+    try:  # the term m 2^e sits in bucket e + 1074 with m scaled by 2^53
+        return total / (1 << (1074 + 53))
+    except OverflowError:
+        return math.fsum(x.tolist())
 
 
 def _grid_size(n) -> int:
@@ -93,8 +151,7 @@ class HpContext:
     @property
     def grid(self) -> np.ndarray:
         """The ``grid_size`` boundary points ``exp(2 pi i k / N)``."""
-        n = self.grid_size
-        return np.exp(2j * np.pi * np.arange(n) / n)
+        return _circle(self.grid_size)
 
 
 class BoundaryFunction:
@@ -120,7 +177,8 @@ class BoundaryFunction:
         self._grid_size = n
         padded = np.zeros(n, dtype=complex)
         padded[: coeffs.size] = coeffs
-        self._samples = np.fft.ifft(padded) * n
+        self._samples = np.fft.ifft(padded)
+        self._samples *= n
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -139,7 +197,14 @@ class BoundaryFunction:
         return self._samples.copy()
 
     def __call__(self, z):
-        return np.polyval(self._coeffs[::-1], z)
+        # Horner in one buffer; on arrays the operations and bits of np.polyval
+        x = np.asarray(z)
+        c = self._coeffs
+        y = np.full(x.shape, c[-1])
+        for ck in c[-2::-1]:
+            y *= x
+            y += ck
+        return y if y.ndim else y[()]
 
 
 def inner_product_values(zeros, z, phase: complex = 1.0):
@@ -149,8 +214,13 @@ def inner_product_values(zeros, z, phase: complex = 1.0):
     array; a scalar ``z`` gives a ``complex`` and an empty ``zeros`` gives
     ``phase``.  Numerators and denominators are multiplied into two buffers
     and divided once per block of ``_BLOCK`` factors, which cannot under- or
-    overflow for ``|z| <= 1`` and a unimodular ``phase``.  The phase enters
-    the first denominator as ``1/phase``, so it costs no pass of its own.
+    overflow for ``|z| <= 1`` and a unimodular ``phase``.  A zero with
+    ``|a| >= 1/2`` uses ``1 - conj(a) z = -conj(a) (z - 1/conj(a))``: the
+    grid sees two subtractions and two products for the factor (four passes
+    instead of five), and the scalars ``-conj(a)`` are multiplied once per
+    block into its first denominator, together with ``1/phase``.  The
+    reflected difference satisfies ``(1 - |a|)/|a| <= |z - 1/conj(a)| <= 3``,
+    so a block's denominator stays between ``1e-224`` and ``3^16``.
     """
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
@@ -162,17 +232,17 @@ def inner_product_values(zeros, z, phase: complex = 1.0):
         # a buffer of None makes the ufunc allocate: the first block's
         # numerator becomes the output and later blocks reuse one numerator
         # buffer, so at most three grid-sized scratch arrays (num, den, tmp)
-        a = zeros[start]
-        num = np.subtract(zz, a, num)
-        den = np.multiply(zz, -c * a.conjugate(), den)
-        den += c  # c (1 - conj(a) z)
+        block = zeros[start : start + _BLOCK]
+        for a in block:
+            if abs(a) >= 0.5:
+                c *= -a.conjugate()
+        num = np.subtract(zz, block[0], num)
+        den = _denominator(zz, block[0], c, den)
         c = 1.0
-        for a in zeros[start + 1 : start + _BLOCK]:
+        for a in block[1:]:
             tmp = np.subtract(zz, a, tmp)
             num *= tmp
-            np.multiply(zz, -a.conjugate(), tmp)
-            tmp += 1.0
-            den *= tmp
+            den *= _denominator(zz, a, 1.0, tmp)
         num /= den
         if out is None:
             out, num = num, None
@@ -183,49 +253,78 @@ def inner_product_values(zeros, z, phase: complex = 1.0):
     return complex(out[0]) if scalar else out
 
 
+def _denominator(zz, a, scale, buf):
+    """``scale (1 - conj(a) z)``, divided by ``-conj(a)`` when ``|a| >= 1/2``, into ``buf``."""
+    if abs(a) >= 0.5:
+        buf = np.subtract(zz, 1.0 / a.conjugate(), buf)
+        if scale != 1.0:
+            buf *= scale
+    else:
+        buf = np.multiply(zz, -scale * a.conjugate(), buf)
+        buf += scale
+    return buf
+
+
 def hp_norm(f, ctx: HpContext) -> float:
     """The H^p boundary norm ``(mean |f|^p)^(1/p)`` on the context grid.
 
     Accepts a ``BoundaryFunction`` (grid sizes must agree) or a raw sample
-    array of length ``grid_size``.  The mean is an exactly rounded ``fsum``,
-    so the result is independent of summation order and platform reductions.
+    array of length ``grid_size``.  The sum of ``|f|^p`` is exactly rounded
+    (``_exact_sum``, equal to ``math.fsum`` bit for bit, without a Python
+    loop over the samples), so the result is independent of summation order
+    and platform reductions.
     """
     if isinstance(f, BoundaryFunction):
         if f.grid_size != ctx.grid_size:
             raise GridMismatch(
                 f"function grid {f.grid_size} differs from context grid {ctx.grid_size}"
             )
-        samples = f.samples
+        samples = f._samples
     else:
         samples = np.asarray(f, dtype=complex)
         if samples.ndim != 1 or samples.size != ctx.grid_size:
             raise GridMismatch(
                 f"sample array of length {samples.size} does not match grid {ctx.grid_size}"
             )
-    powers = np.abs(samples) ** ctx.p
-    return float((math.fsum(powers) / ctx.grid_size) ** (1.0 / ctx.p))
+    powers = np.abs(samples)
+    powers **= ctx.p
+    return float((_exact_sum(powers) / ctx.grid_size) ** (1.0 / ctx.p))
 
 
 def weight_function(phi: DiscAutomorphism, p: float, z):
     """The isometry weight ``(conj(lam) phi'(z))^(1/p)``, analytic branch.
 
-    Works on scalars and arrays.  The radicand is
-    ``(1 - |a|^2)/(1 - conj(a) z)^2``; its argument is twice the argument of
-    ``1 - conj(a) z``, whose real part is positive on the closed disc, so the
-    principal power below is the analytic branch that is positive at 0.
+    Works on scalars and arrays, by one code path.  The radicand is
+    ``(1 - |a|^2)/(1 - conj(a) z)^2``; with ``den = 1 - conj(a) z``, whose
+    real part is positive on the closed disc, its analytic root that is
+    positive at 0 is modulus times phase:
+
+        (1 - |a|^2)^(1/p) * |den|^(-2/p) * exp(-(2i/p) arg den),
+
+    where ``arg den`` lies in ``(-pi/2, pi/2)``.  The result is written over
+    ``den``, with two real scratch arrays.
     """
     p = _exponent(p)
     scalar = np.isscalar(z) or isinstance(z, complex)
     zz = np.asarray(z, dtype=complex)
-    den = 1.0 - np.conj(phi.a) * zz
+    shape = zz.shape
+    a = complex(phi.a)
+    den = np.multiply(zz.reshape(-1), -a.conjugate())
+    den += 1.0
     if np.any(den.real <= 0.0):
         raise BranchError(
             "1 - conj(a) z has nonpositive real part; the evaluation point "
             "lies outside the closed disc where the root branch is defined"
         )
-    radicand = (1.0 - abs(phi.a) ** 2) / (den * den)
-    out = radicand ** (1.0 / p)
-    return complex(out[()]) if scalar else out
+    modulus = np.abs(den)
+    modulus **= -2.0 / p
+    modulus *= (1.0 - abs(a) ** 2) ** (1.0 / p)
+    angle = np.angle(den)
+    angle *= -2.0 / p
+    np.cos(angle, out=den.real)
+    np.sin(angle, out=den.imag)
+    den *= modulus
+    return complex(den[0]) if scalar else den.reshape(shape)
 
 
 def apply_isometry(spec: IsometrySpec, f: BoundaryFunction, ctx: HpContext) -> np.ndarray:
@@ -247,8 +346,15 @@ def apply_isometry(spec: IsometrySpec, f: BoundaryFunction, ctx: HpContext) -> n
         )
     zeta = ctx.grid
     phi = spec.phi
+    # every factor is multiplied into the kernel's output, and zeta is freed
+    # before f(w): at most seven grid-sized arrays live at once
+    out = spec.inner_values(zeta)
+    out *= spec.phase
     w = inner_product_values([phi.a], zeta, phi.lam)
-    return spec.phase * spec.inner_values(zeta) * weight_function(phi, spec.p, zeta) * f(w)
+    out *= weight_function(phi, spec.p, zeta)
+    del zeta
+    out *= f(w)
+    return out
 
 
 def rho_closed_form(phi: DiscAutomorphism, psi: DiscAutomorphism, p: float) -> complex:
@@ -288,14 +394,11 @@ def composition_constant(
     n = int(grid_size)
     if n < 16:
         raise DomainError("grid_size must be at least 16")
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
+    zeta = _circle(n)
     w = inner_product_values([phi.a], zeta, phi.lam)
-    comp = compose(psi, phi)
-    ratio = (
-        weight_function(phi, p, zeta)
-        * weight_function(psi, p, w)
-        / weight_function(comp, p, zeta)
-    )
+    ratio = weight_function(phi, p, zeta)
+    ratio *= weight_function(psi, p, w)
+    ratio /= weight_function(compose(psi, phi), p, zeta)
     mean = complex(ratio.mean())
     if mean == 0:
         raise DomainError("degenerate weight ratio")

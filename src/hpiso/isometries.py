@@ -31,7 +31,7 @@ from .blaschke import (
     partial_blaschke_sum,
     write_csv_rows,
 )
-from .hardy import inner_product_values, weight_function
+from .hardy import _circle, inner_product_values, weight_function
 from .moebius import (
     MAX_ZERO_MODULUS,
     DiscAutomorphism,
@@ -496,7 +496,7 @@ def invariant_subspace_check(
         rho *= factor_at(k, w_star) / factor_at(k + 1, zeta_star)
 
     m = int(ctx.grid_size)
-    z = radius * np.exp(2j * np.pi * np.arange(m) / m)
+    z = _circle(m, radius)
     w = inner_product_values([phi.a], z, phi.lam)
     lam_n = math.prod(lams[:n_trunc])
     b_n = inner_product_values(zeros[:n_trunc], np.concatenate([z, w]), lam_n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hpiso import (
     BranchError,
     CompositionConstant,
     DegreeError,
+    DiscAutomorphism,
     DomainError,
     GridMismatch,
     HpContext,
@@ -43,11 +45,13 @@ from hpiso import (
     weight_function,
 )
 
+from hpiso.hardy import _SUM_CHUNK, _circle, _exact_sum
 from hpiso.moebius import MAX_ZERO_MODULUS
 
 from conftest import interior_point, random_automorphism, unimodular
 
 P_VALUES = (1.0, 1.5, 3.0, 4.0)
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def make_ctx(p: float, n: int = 512) -> HpContext:
@@ -92,6 +96,23 @@ def test_boundary_function_samples_and_call(rng):
     z = 0.3 - 0.4j
     assert abs(f(z) - sum(c * z**j for j, c in enumerate(coeffs))) < 1e-13
     assert f.degree == 12 and f.grid_size == 128
+
+
+def test_circle_is_the_one_grid_formula():
+    for n in (16, 100, 128, 4096):
+        direct = np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.array_equal(_circle(n), direct)
+        assert np.array_equal(_circle(n, 0.5), 0.5 * direct)
+    assert np.array_equal(HpContext(3.0, 256).grid, _circle(256))
+
+
+def test_boundary_function_call_has_polyval_bits(rng):
+    coeffs = random_polynomial(rng, 24)
+    f = BoundaryFunction(coeffs, 128)
+    for z in (_circle(128, 0.9), rng.uniform(-1.0, 1.0, 37), np.array([[0.1, 0.2j]])):
+        got = f(z)
+        assert got.shape == z.shape
+        assert np.array_equal(got, np.polyval(coeffs[::-1], z))
 
 
 def test_boundary_function_degree_cap():
@@ -179,6 +200,56 @@ def test_norm_accepts_raw_samples(rng):
         hp_norm(random_f(rng, 6, 256), ctx)
 
 
+def _nonneg_terms(rng, size: int, kind: str) -> np.ndarray:
+    """``size`` nonnegative doubles: |f|^p-like, subnormal, or spread over 2^-1074..2^1000."""
+    if kind == "powers":
+        return np.abs(rng.standard_normal(size)) ** rng.choice(P_VALUES)
+    if kind == "subnormal":
+        return rng.integers(0, 2**52, size).astype(float) * 2.0**-1074
+    mantissa = rng.uniform(0.5, 1.0, size)
+    return np.ldexp(mantissa, rng.integers(-1074, 1000, size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 2.0**1000), max_size=40))
+def test_exact_sum_equals_fsum_on_lists(terms):
+    assert _exact_sum(np.array(terms, dtype=float)).hex() == math.fsum(terms).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((0, 1, 2, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 3 * _SUM_CHUNK + 5)),
+    st.sampled_from(("powers", "subnormal", "wide")),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_equals_fsum_on_arrays(size, kind, seed):
+    x = _nonneg_terms(np.random.default_rng(seed), size, kind)
+    assert _exact_sum(x).hex() == math.fsum(x).hex()
+
+
+def test_exact_sum_ties_and_long_input(rng):
+    # exact halfway sums round to even, as fsum's do
+    u = 2.0**-53
+    for terms in ([1.0, u], [1.0 + 2 * u, u], [1.0] + [u / 4] * 2, [5e-324] * 7 + [2.0**-1022]):
+        assert _exact_sum(np.array(terms)).hex() == math.fsum(terms).hex()
+    for kind in ("powers", "wide"):
+        x = _nonneg_terms(rng, 2**20, kind)
+        assert _exact_sum(x).hex() == math.fsum(x).hex()
+
+
+def test_exact_sum_defers_to_fsum_off_its_domain():
+    inf, nan = math.inf, math.nan
+    assert _exact_sum(np.array([1.0, inf, 2.0])) == math.fsum([1.0, inf, 2.0]) == inf
+    assert math.isnan(_exact_sum(np.array([1.0, nan]))) and math.isnan(math.fsum([1.0, nan]))
+    signed = [-1.0, 1e100, 1.0, -1e100, 0.5]
+    assert _exact_sum(np.array(signed)).hex() == math.fsum(signed).hex()
+    assert _exact_sum(np.array([-0.0, -0.0])).hex() == math.fsum([-0.0, -0.0]).hex()
+    with pytest.raises(ValueError):
+        _exact_sum(np.array([inf, -inf]))
+    with pytest.raises(OverflowError):  # fsum's "intermediate overflow"
+        _exact_sum(np.array([1.7e308, 1.7e308]))
+
+
 # ---------------------------------------------------------------------------
 # the weight
 
@@ -214,10 +285,44 @@ def test_weight_array_matches_scalars(rng):
         assert w == weight_function(phi, 1.5, complex(z))
 
 
-def test_weight_branch_error_outside_disc():
-    phi = DiscAutomorphism = None  # noqa: F841 - keep namespace tidy
-    from hpiso import DiscAutomorphism
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(P_VALUES),
+    st.sampled_from(("uniform", "cap", "near_circle")),
+    st.sampled_from((1.0, 0.999, 0.5, 0.0)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_weight_matches_50_digit_root(p, zero_kind, radius, aimed, seed):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(seed)
+    r = {
+        "uniform": rng.uniform(0.0, MAX_ZERO_MODULUS),
+        "cap": MAX_ZERO_MODULUS,
+        "near_circle": 1.0 - 10.0 ** rng.uniform(-13.9, -2),
+    }[zero_kind]
+    alpha = 2.0 * math.pi * rng.uniform()
+    a = r * cmath.exp(1j * alpha)
+    if abs(a) > MAX_ZERO_MODULUS:  # the rotation rounded past the cap
+        a = r * cmath.exp(1j * alpha) * (MAX_ZERO_MODULUS / abs(a))
+    phi = DiscAutomorphism(unimodular(rng), a)
+    a = phi.a
+    theta = alpha if aimed else 2.0 * math.pi * rng.uniform()
+    zs = radius * np.exp(1j * np.array([theta, 2.0 * math.pi * rng.uniform()]))
+    got = weight_function(phi, p, zs)
+    for zk, gk in zip(zs.tolist(), got.tolist()):
+        den = 1 - mp.conj(mp.mpc(a)) * mp.mpc(zk)
+        ref = (1 - abs(mp.mpc(a)) ** 2) ** (mp.mpf(1) / p) * mp.exp(-(mp.mpf(2) / p) * mp.log(den))
+        # rounding of 1 - |a|^2 is amplified by |a|^2/(1 - |a|^2) and taken to
+        # the power 1/p; the cancellation in 1 - conj(a) z by |a z|/|den|, to
+        # the power 2/p; the rest is a few roundings (measured: below 5u)
+        cond = abs(a) ** 2 / (1.0 - abs(a) ** 2) / p + 2.0 * abs(a * zk) / abs(complex(den)) / p
+        assert abs(gk - ref) <= 8 * UNIT_ROUNDOFF * (1.0 + cond) * abs(ref)
+        assert weight_function(phi, p, zk) == gk  # scalar z, same code path
 
+
+def test_weight_branch_error_outside_disc():
     phi = DiscAutomorphism(1.0, 0.5)
     with pytest.raises(BranchError):
         weight_function(phi, 3.0, 3.0)
@@ -228,8 +333,6 @@ def test_weight_branch_error_outside_disc():
 
 # ---------------------------------------------------------------------------
 # the blocked Blaschke-product kernel
-
-UNIT_ROUNDOFF = 2.0**-53
 
 
 def kernel_zeros(rng, count: int, near_cap: float) -> list:
@@ -266,22 +369,41 @@ def kernel_points(rng, zeros, radius: float, count: int = 4) -> np.ndarray:
     st.integers(0, 2**32 - 1),
 )
 def test_inner_product_values_match_50_digit_products(count, radius, near_cap, angle, seed):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     rng = np.random.default_rng(seed)
     zeros = kernel_zeros(rng, count, near_cap)
-    z = kernel_points(rng, zeros, radius)
-    phase = cmath.exp(1j * angle)
+    assert_kernel_matches_products(zeros, kernel_points(rng, zeros, radius), cmath.exp(1j * angle))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((1.0, 0.5)), st.floats(0.0, 2.0 * math.pi), st.integers(0, 2**32 - 1))
+def test_inner_product_values_across_the_reflection_threshold(radius, angle, seed):
+    # |a| just below, at and just above 1/2, where the kernel switches from
+    # 1 - conj(a) z to -conj(a) (z - 1/conj(a)), mixed inside each block
+    rng = np.random.default_rng(seed)
+    half_below, half_above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    moduli = [half_below, 0.5, half_above, 0.5 - 1e-9, 0.5 + 1e-9]
+    axes = (1.0, 1j, -1.0, -1j)  # on an axis the modulus is exact
+    zeros = [complex(m * axes[k % 4]) for k, m in enumerate(moduli * 2)]
+    zeros += [m * cmath.exp(2j * math.pi * rng.uniform()) for m in moduli * 3]
+    rng.shuffle(zeros)
+    assert sum(abs(a) >= 0.5 for a in zeros[:16]) and sum(abs(a) < 0.5 for a in zeros[:16])
+    assert_kernel_matches_products(zeros, kernel_points(rng, zeros, radius), cmath.exp(1j * angle))
+
+
+def assert_kernel_matches_products(zeros, z, phase):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
     got = inner_product_values(zeros, z, phase)
     assert got.shape == z.shape and np.all(np.isfinite(got))
     exact = [(mp.mpc(a), mp.mpc(a.conjugate())) for a in zeros]
     for zk, gk in zip(z.tolist(), got.tolist()):
         ref = mp.mpc(phase) * mp.fprod((zk - a) / (1 - ca * zk) for a, ca in exact)
         cond = sum(abs(a * zk) / abs(1.0 - a.conjugate() * zk) for a in zeros)
-        # first-order rounding: about 7u per factor (two subtractions, three
-        # complex products, a share of a division), plus the cancellation in
-        # 1 - conj(a) z, amplified by |a z| / |1 - conj(a) z|
-        tol = 8 * UNIT_ROUNDOFF * (count + cond) * abs(ref)
+        # first-order rounding: about 7u per factor (two subtractions, two or
+        # three complex products, a share of a division and of the block
+        # scalar), plus the cancellation in 1 - conj(a) z, amplified by
+        # |a z| / |1 - conj(a) z|
+        tol = 8 * UNIT_ROUNDOFF * (len(zeros) + cond) * abs(ref)
         assert abs(gk - ref) <= tol
         assert abs(inner_product_values(zeros, zk, phase) - ref) <= tol  # scalar z
 
@@ -461,3 +583,23 @@ def test_verify_isometry_reproducible(rng):
     assert r1["rel_defect"] <= 1e-6
     with pytest.raises(DomainError):
         verify_isometry(spec, ctx, f=BoundaryFunction([0.0], 512))
+
+
+@pytest.mark.parametrize("count", (0, 1, 3, 17))
+def test_verify_isometry_peak_memory(count):
+    # at most seven grid-sized complex arrays live at once: the test
+    # function's samples, the grid, the output and the kernel's scratch
+    n = 2**16
+    phi = DiscAutomorphism(cmath.exp(0.4j), 0.3 - 0.5j)
+    factors = tuple(normalized_factor((0.2 + 0.04 * k) * cmath.exp(1.3j * k)) for k in range(count))
+    spec = IsometrySpec(3.0, 1j, factors, phi)
+    ctx = make_ctx(3.0, n)
+    verify_isometry(spec, ctx, seed=5)  # first call: one-time allocations
+    tracemalloc.start()
+    try:
+        report = verify_isometry(spec, ctx, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["rel_defect"] <= 1e-12
+    assert peak <= 7 * 16 * n
