@@ -9,6 +9,8 @@ modules load on first access to one of their names (PEP 562): the pure-Python
 ``spec`` and ``equivalence``, and the numpy modules ``blaschke``, ``hardy``
 and ``isometries``.  So ``from hpiso import classify``, ``decide_equivalent``
 and the CLI's automorphism and ``equiv`` subcommands never import numpy.
+Nor do they import ``dataclasses``: the records of the pure-Python modules
+are immutable slot classes on the private base ``_record.Record``.
 """
 
 from __future__ import annotations

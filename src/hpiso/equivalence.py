@@ -16,9 +16,9 @@ projective version of operator equivalence, which is the invariant notion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .errors import DomainError, IdentityAmbiguity
 from .moebius import (
     Chart, DiscAutomorphism, circle_points, compose, eval_auto, identity, inverse, model_chart,
@@ -29,16 +29,18 @@ from .spec import IsometrySpec
 __all__ = ["EquivWitness", "decide_equivalent"]
 
 
-@dataclass(frozen=True)
-class EquivWitness:
+class EquivWitness(Record):
     """Witness of equivalence: ``phi_2 = eta^{-1} phi_1 eta`` and
     ``phase_2 Psi_2 = rho phase_1 (Psi_1 o eta)``; ``residual`` is the
     largest numerical defect among symbol conjugation, zero multiset match,
     and constancy of the inner ratio."""
 
-    eta: DiscAutomorphism
-    rho: complex
-    residual: float
+    __slots__ = ("eta", "rho", "residual")
+
+    def __init__(self, eta: DiscAutomorphism, rho: complex, residual: float):
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "residual", residual)
 
 
 _RATIO_POINTS = tuple(circle_points(0.7, 16) + circle_points(0.31, 7))

@@ -291,6 +291,16 @@ def hp_norm(f, ctx: HpContext) -> float:
     return float((_exact_sum(powers) / ctx.grid_size) ** (1.0 / ctx.p))
 
 
+def _one_minus_abs2(a: complex) -> float:
+    """``1 - |a|^2`` exactly rounded: over the common denominator of the
+    binary fractions ``a.real`` and ``a.imag``, and ``int`` true division
+    rounds correctly."""
+    nx, dx = a.real.as_integer_ratio()
+    ny, dy = a.imag.as_integer_ratio()
+    den = (dx * dy) ** 2
+    return (den - (nx * dy) ** 2 - (ny * dx) ** 2) / den
+
+
 def weight_function(phi: DiscAutomorphism, p: float, z):
     """The isometry weight ``(conj(lam) phi'(z))^(1/p)``, analytic branch.
 
@@ -301,7 +311,8 @@ def weight_function(phi: DiscAutomorphism, p: float, z):
 
         (1 - |a|^2)^(1/p) * |den|^(-2/p) * exp(-(2i/p) arg den),
 
-    where ``arg den`` lies in ``(-pi/2, pi/2)``.  The result is written over
+    where ``arg den`` lies in ``(-pi/2, pi/2)`` and ``1 - |a|^2`` is exactly
+    rounded (``_one_minus_abs2``).  The result is written over
     ``den``, with two real scratch arrays.
     """
     p = _exponent(p)
@@ -318,7 +329,7 @@ def weight_function(phi: DiscAutomorphism, p: float, z):
         )
     modulus = np.abs(den)
     modulus **= -2.0 / p
-    modulus *= (1.0 - abs(a) ** 2) ** (1.0 / p)
+    modulus *= _one_minus_abs2(a) ** (1.0 / p)
     angle = np.angle(den)
     angle *= -2.0 / p
     np.cos(angle, out=den.real)

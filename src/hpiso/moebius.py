@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
+from ._record import Record
 from .errors import (
     AmbiguousClassification,
     DomainError,
@@ -82,20 +82,18 @@ def _as_complex(z) -> complex:
         raise DomainError(f"not interpretable as a complex number: {z!r}") from exc
 
 
-@dataclass(frozen=True)
-class DiscAutomorphism:
+class DiscAutomorphism(Record):
     """Automorphism ``z -> lam (z - a) / (1 - conj(a) z)`` of the unit disc.
 
     ``lam`` is renormalized to unit modulus on construction; ``a`` (the
     point sent to 0) must satisfy ``|a| <= 1 - 1e-14``.
     """
 
-    lam: complex
-    a: complex
+    __slots__ = ("lam", "a")
 
-    def __post_init__(self):
-        lam = _as_complex(self.lam)
-        a = _as_complex(self.a)
+    def __init__(self, lam: complex, a: complex):
+        lam = _as_complex(lam)
+        a = _as_complex(a)
         mod = abs(lam)
         if not math.isfinite(mod) or mod == 0.0:
             raise DomainError("phase lam must be a finite nonzero complex number")
@@ -120,16 +118,18 @@ class DiscAutomorphism:
         return MoebiusMatrix.from_automorphism(self)
 
 
-@dataclass(frozen=True)
-class MoebiusMatrix:
+class MoebiusMatrix(Record):
     """SU(1,1) representative ``[[alpha, beta], [conj(beta), conj(alpha)]]``.
 
     Defined up to a global sign; all consumers use sign-invariant
     quantities (ratios, absolute values).
     """
 
-    alpha: complex
-    beta: complex
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: complex, beta: complex):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def det(self) -> float:
@@ -175,8 +175,7 @@ class Orientation(Enum):
     NOT_APPLICABLE = None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Conjugacy-class data of a disc automorphism.
 
     ``fixed_points`` is empty for the identity, ``(z0,)`` with ``|z0| < 1``
@@ -188,14 +187,19 @@ class Classification:
     is NOT_APPLICABLE otherwise.
     """
 
-    kind: Kind
-    fixed_points: tuple
-    multiplier: complex
-    orientation: Orientation = Orientation.NOT_APPLICABLE
+    __slots__ = ("kind", "fixed_points", "multiplier", "orientation")
+
+    def __init__(
+        self, kind: Kind, fixed_points: tuple, multiplier: complex,
+        orientation: Orientation = Orientation.NOT_APPLICABLE,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "fixed_points", fixed_points)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "orientation", orientation)
 
 
-@dataclass(frozen=True)
-class CanonicalPair:
+class CanonicalPair(Record):
     """Canonical representative ``kappa`` and conjugator ``eta``.
 
     Satisfies ``phi = eta o kappa o eta^{-1}`` pointwise.  ``kappa`` is a
@@ -204,8 +208,11 @@ class CanonicalPair:
     (hyperbolic, attracting fixed point -1).
     """
 
-    kappa: DiscAutomorphism
-    eta: DiscAutomorphism
+    __slots__ = ("kappa", "eta")
+
+    def __init__(self, kappa: DiscAutomorphism, eta: DiscAutomorphism):
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "eta", eta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the boundary-grid numerics of ``hardy``; only ``inner_values`` needs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError
 from .moebius import DiscAutomorphism
 
@@ -24,8 +24,7 @@ def _exponent(p) -> float:
     return p
 
 
-@dataclass(frozen=True)
-class IsometrySpec:
+class IsometrySpec(Record):
     """Data of a weighted composition isometry of H^p.
 
     ``phase`` is renormalized to unit modulus.  ``psi_zeros`` holds the
@@ -35,26 +34,26 @@ class IsometrySpec:
     must be truncated before they can be applied to functions.
     """
 
-    p: float
-    phase: complex
-    psi_zeros: tuple
-    phi: DiscAutomorphism
-    infinite: object = None
+    __slots__ = ("p", "phase", "psi_zeros", "phi", "infinite")
 
-    def __post_init__(self):
-        p = _exponent(self.p)
-        phase = complex(self.phase)
+    def __init__(
+        self, p: float, phase: complex, psi_zeros: tuple, phi: DiscAutomorphism, infinite: object = None
+    ):
+        p = _exponent(p)
+        phase = complex(phase)
         if phase == 0 or not math.isfinite(abs(phase)):
             raise DomainError("phase must be a finite nonzero complex number")
-        factors = tuple(self.psi_zeros)
+        factors = tuple(psi_zeros)
         for fac in factors:
             if not isinstance(fac, DiscAutomorphism):
                 raise DomainError("psi_zeros must contain DiscAutomorphism factors")
-        if not isinstance(self.phi, DiscAutomorphism):
+        if not isinstance(phi, DiscAutomorphism):
             raise DomainError("phi must be a DiscAutomorphism")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "phase", phase / abs(phase))
         object.__setattr__(self, "psi_zeros", factors)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "infinite", infinite)
 
     def inner_values(self, z):
         """Values of the finite part of ``Psi`` at ``z`` (scalar or array)."""

@@ -314,10 +314,12 @@ def test_weight_matches_50_digit_root(p, zero_kind, radius, aimed, seed):
     for zk, gk in zip(zs.tolist(), got.tolist()):
         den = 1 - mp.conj(mp.mpc(a)) * mp.mpc(zk)
         ref = (1 - abs(mp.mpc(a)) ** 2) ** (mp.mpf(1) / p) * mp.exp(-(mp.mpf(2) / p) * mp.log(den))
-        # rounding of 1 - |a|^2 is amplified by |a|^2/(1 - |a|^2) and taken to
-        # the power 1/p; the cancellation in 1 - conj(a) z by |a z|/|den|, to
-        # the power 2/p; the rest is a few roundings (measured: below 5u)
-        cond = abs(a) ** 2 / (1.0 - abs(a) ** 2) / p + 2.0 * abs(a * zk) / abs(complex(den)) / p
+        # 1 - |a|^2 is exactly rounded, so only the rounding of the exponent
+        # 1/p is amplified, by |log(1 - |a|^2)|; the cancellation in
+        # 1 - conj(a) z by |a z|/|den|, to the power 2/p; the rest is a few
+        # roundings (measured: below 5u)
+        log_radicand = float(abs(mp.log(1 - abs(mp.mpc(a)) ** 2)))
+        cond = log_radicand / p + 2.0 * abs(a * zk) / abs(complex(den)) / p
         assert abs(gk - ref) <= 8 * UNIT_ROUNDOFF * (1.0 + cond) * abs(ref)
         assert weight_function(phi, p, zk) == gk  # scalar z, same code path
 

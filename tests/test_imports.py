@@ -2,7 +2,9 @@
 interpreters and, for the module-level imports, in the source.
 
 The automorphism subcommands (``classify``, ``compose``, ``iterate``,
-``commutant``) and ``equiv`` on finite specs must run without numpy, every
+``commutant``) and ``equiv`` on finite specs must run without numpy and
+without ``dataclasses`` (whose ``inspect`` loads ``ast``, ``dis`` and
+``tokenize``: the records of these requests are slot classes), every
 successful request without jsonschema, and the lazy top-level names of
 ``hpiso`` must be exactly those of the modules they come from.
 """
@@ -35,14 +37,17 @@ def run_python(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-#: expression, in the child, for which of the heavy modules are loaded
-LOADED = "{m: m in sys.modules for m in ('numpy', 'jsonschema', 'hpiso.blaschke', 'hpiso.hardy')}"
-NONE_LOADED = {"numpy": False, "jsonschema": False, "hpiso.blaschke": False, "hpiso.hardy": False}
+#: modules a numpy-free request must not load; ``dataclasses`` brings
+#: ``inspect``, which brings ``ast``, ``dis`` and ``tokenize``
+WATCHED = ("numpy", "jsonschema", "hpiso.blaschke", "hpiso.hardy", "dataclasses", "inspect")
+#: expression, in the child, for which of them are loaded
+LOADED = f"{{m: m in sys.modules for m in {WATCHED!r}}}"
+NONE_LOADED = dict.fromkeys(WATCHED, False)
 
-#: modules that must not import numpy, jsonschema or a numpy module of the
-#: package when they load (they may inside functions)
-NUMPY_FREE = ("errors", "moebius", "serialize", "cli", "spec", "equivalence")
-HEAVY = {"numpy", "jsonschema", "hpiso.blaschke", "hpiso.hardy", "hpiso.isometries"}
+#: modules that must not import numpy, jsonschema, dataclasses or a numpy
+#: module of the package when they load (they may inside functions)
+NUMPY_FREE = ("errors", "_record", "moebius", "serialize", "cli", "spec", "equivalence")
+HEAVY = {"numpy", "jsonschema", "dataclasses", "hpiso.blaschke", "hpiso.hardy", "hpiso.isometries"}
 
 
 def spec_of(*zeros, phi) -> IsometrySpec:
@@ -83,7 +88,8 @@ def test_schema_violation_loads_jsonschema_and_exits_2():
     )
     got = run_python(code)
     assert got["code"] == 2
-    assert got["loaded"] == {**NONE_LOADED, "jsonschema": True}
+    # jsonschema itself loads dataclasses and inspect
+    assert got["loaded"] == {**NONE_LOADED, "jsonschema": True, "dataclasses": True, "inspect": True}
 
 
 def test_equiv_runs_without_numpy():
