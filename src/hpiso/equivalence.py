@@ -124,6 +124,49 @@ def _witness_from_eta(s1: IsometrySpec, s2: IsometrySpec, eta, tol: float):
     return EquivWitness(eta, rho, max(sym_res, zero_res, spread))
 
 
+def _pair_distances(zs) -> list:
+    """The sorted pseudo-hyperbolic distances ``|z - w|/|1 - conj(w) z|``
+    between the points of ``zs``, one per unordered pair."""
+    return sorted(abs(z - w) / abs(1.0 - w.conjugate() * z) for i, z in enumerate(zs) for w in zs[:i])
+
+
+def _invariant_gap(s1: IsometrySpec, s2: IsometrySpec, tol: float):
+    """``(gap, band)``: the largest entrywise gap between the sorted pair
+    distances of ``Z(Psi_1)`` and ``Z(Psi_2)``, and a band that contains it
+    whenever a candidate can pass the zero match of ``_witness_from_eta``;
+    ``gap > band`` certifies that no witness exists.
+
+    A passing ``eta`` puts each moved zero ``fl(eta^{-1}(a_i))`` within
+    ``eps = 10 tol`` (``(1 + 4u)`` for the rounding of the distance) of its
+    partner ``b_i``.  With its phase made exactly unimodular, ``eta^{-1}``
+    is a disc automorphism ``g``, so ``rho(g a_i, g a_j) = rho(a_i, a_j)``
+    exactly (Schwarz-Pick), and ``|fl(eta^{-1}(a_i)) - g a_i| <= e =
+    32u/(1 - max|a|)``: ``eval_auto`` and the phase renormalization cost a
+    few ``u`` each, and the rounding of the denominator ``1 - conj(c) a_i``
+    (``c`` the zero of ``eta^{-1}``) is amplified by at most ``1/(1 -
+    |a_i|)`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.1, §3.6).  ``rho`` is a metric with ``rho(x, x') <= |x - x'|/(1 -
+    |x||x'|)``, and ``g a_i`` and ``b_i`` have moduli at most ``R = max|b|
+    + eps + e``, so each pair distance moves by at most ``2 (eps + e)/(1 -
+    R^2)``, and sorting both lists does not raise the largest entrywise
+    gap.  Each computed ``rho`` with both points of modulus at most ``r`` is
+    within ``16u/(1 - r^2)`` of the exact one; both sides' terms are added.
+    Moduli are rounded up by ``(1 + 4u)`` and the band is inflated by
+    ``(1 + 64u)`` to round it outward.  For ``R >= 1`` it is infinite.
+    """
+    u = 2.0**-53
+    a = [f.a for f in s1.psi_zeros]
+    b = [f.a for f in s2.psi_zeros]
+    gap = max(abs(x - y) for x, y in zip(_pair_distances(a), _pair_distances(b)))
+    ra, rb = (max(map(abs, zs)) * (1.0 + 4 * u) for zs in (a, b))
+    delta = 10.0 * tol * (1.0 + 4 * u) + 32 * u / (1.0 - ra)
+    r = (rb + delta) * (1.0 + 4 * u)
+    if r >= 1.0:
+        return gap, math.inf
+    band = 2 * delta / ((1.0 - r) * (1.0 + r)) + sum(16 * u / ((1.0 - s) * (1.0 + s)) for s in (ra, rb))
+    return gap, band * (1.0 + 64 * u)
+
+
 def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, tol: float):
     """The first witness among the conjugators ``eta_0 o gamma_t`` from the
     map of chart ``c2`` to that of ``c1`` (``Chart.conjugator``), or None.
@@ -169,7 +212,17 @@ def decide_equivalent(
     Non-identity symbols reduce to finitely many candidates: any witness lies
     in ``eta_0 Com(phi_2)`` for the conjugator ``eta_0`` between the two
     model charts (each built once), and the commutant parameter is pinned by
-    matching a single zero pair in the chart of ``phi_2``.  For identity
+    matching a single zero pair in the chart of ``phi_2``.  Before any
+    candidate is built (and after both charts, so ``AmbiguousClassification``
+    still surfaces), pairs with ``d >= 2`` zeros are screened by an
+    invariant: the sorted pairwise pseudo-hyperbolic distances of the zeros,
+    which every disc automorphism preserves.  A gap beyond the band of
+    ``_invariant_gap``, which covers every pair a candidate could match
+    within ``10 tol`` with rounding included, answers None; inside the band
+    the search decides, so the screen never changes a verdict or a witness.
+    Identity symbols are not screened: their failed searches raise
+    ``IdentityAmbiguity``, and answering None there would change that
+    documented outcome.  For identity
     symbols a witness sends some zero of ``Psi_2`` to the first zero of
     ``Psi_1``; each such anchor leaves the rotations about it, the
     commutant of the chart ``Chart.centred`` there.
@@ -186,7 +239,12 @@ def decide_equivalent(
         return None
 
     if not s1.phi.is_identity():
-        return _commutant_search(s1, s2, model_chart(s1.phi, tol), model_chart(s2.phi, tol), tol)
+        c1, c2 = model_chart(s1.phi, tol), model_chart(s2.phi, tol)
+        if d >= 2:
+            gap, band = _invariant_gap(s1, s2, tol)
+            if gap > band:
+                return None
+        return _commutant_search(s1, s2, c1, c2, tol)
     if d == 0:
         return EquivWitness(identity(), s2.phase / s1.phase, 0.0)
     c1 = Chart.centred(s1.psi_zeros[0].a)
