@@ -74,8 +74,8 @@ print(f"max |g^-1(g(z)) - z| on sample points = "
 # ---------------------------------------------------------------------------
 section("Iteration: closed form vs. repeated composition")
 
-# iterate(phi, n) works through the trace-normalized matrix power, so large n
-# costs O(log n) multiplications and stays numerically sane.
+# iterate(phi, n) is the Chebyshev closed form of the SU(1,1) matrix power,
+# so large n costs the same as small n and the error grows only like n u.
 phi_i = parabolic_fixing_one(1j)
 p3 = iterate(phi_i, 3)
 print(f"phi_i^3(0) = {p3(0.0):.12f}   (closed form gives 3/(3+1j) = 0.9-0.3j)")

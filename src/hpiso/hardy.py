@@ -397,7 +397,7 @@ def composition_constant(
     """Compare ``rho_closed_form`` against the sampled weight ratio.
 
     The ratio ``W_phi(z) W_psi(phi(z)) / W_{psi o phi}(z)`` is a unimodular
-    constant; ``rho_numeric`` is its renormalized grid mean and ``spread``
+    constant; ``rho_numeric`` is the phase of its grid mean and ``spread``
     the maximal deviation of the samples from that mean.
     """
     from .moebius import compose  # local import: moebius must not import hardy

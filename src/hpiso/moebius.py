@@ -5,18 +5,15 @@ Every holomorphic automorphism of ``D = {z : |z| < 1}`` can be written
     phi(z) = lam * (z - a) / (1 - conj(a) * z),    |lam| = 1, |a| < 1,
 
 and the pair ``(lam, a)`` is unique.  This module implements the group
-structure (composition, inverse, fast iteration), the trace-based
-classification into identity / elliptic / parabolic / hyperbolic, canonical
-forms with explicit conjugators, conjugacy testing, and the one-parameter
-commutant groups.
+structure (closed forms for composition, inverse and iteration), the
+trace-based classification into identity / elliptic / parabolic /
+hyperbolic, canonical forms with explicit conjugators, conjugacy testing,
+and the one-parameter commutant groups.
 
-Internally compositions run through the SU(1,1) matrix representation
-
-    [[alpha, beta], [conj(beta), conj(alpha)]],   |alpha|^2 - |beta|^2 = 1,
-
-which represents ``phi`` up to a global sign; the induced map is
-
-    phi(z) = (alpha z + beta) / (conj(beta) z + conj(alpha)).
+``classify`` and ``iterate`` read the SU(1,1) representative ``[[alpha,
+beta], [conj(beta), conj(alpha)]]`` of ``phi = (alpha z + beta)/(conj(beta)
+z + conj(alpha))``, unique up to sign.  Model charts use general matrices,
+4-tuples ``(m0, m1, m2, m3)`` acting as ``z -> (m0 z + m1)/(m2 z + m3)``.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "DiscAutomorphism",
-    "MoebiusMatrix",
     "Kind",
     "Orientation",
     "Classification",
@@ -85,7 +81,7 @@ def _as_complex(z) -> complex:
 class DiscAutomorphism(Record):
     """Automorphism ``z -> lam (z - a) / (1 - conj(a) z)`` of the unit disc.
 
-    ``lam`` is renormalized to unit modulus on construction; ``a`` (the
+    ``lam`` is scaled to unit modulus on construction; ``a`` (the
     point sent to 0) must satisfy ``|a| <= 1 - 1e-14``.
     """
 
@@ -113,53 +109,6 @@ class DiscAutomorphism(Record):
 
     def inverse(self) -> "DiscAutomorphism":
         return inverse(self)
-
-    def matrix(self) -> "MoebiusMatrix":
-        return MoebiusMatrix.from_automorphism(self)
-
-
-class MoebiusMatrix(Record):
-    """SU(1,1) representative ``[[alpha, beta], [conj(beta), conj(alpha)]]``.
-
-    Defined up to a global sign; all consumers use sign-invariant
-    quantities (ratios, absolute values).
-    """
-
-    __slots__ = ("alpha", "beta")
-
-    def __init__(self, alpha: complex, beta: complex):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def det(self) -> float:
-        return (abs(self.alpha) - abs(self.beta)) * (abs(self.alpha) + abs(self.beta))
-
-    @classmethod
-    def from_automorphism(cls, phi: DiscAutomorphism) -> "MoebiusMatrix":
-        half = cmath.sqrt(phi.lam)  # principal square root, unit modulus
-        c = math.sqrt((1.0 - abs(phi.a)) * (1.0 + abs(phi.a)))
-        return cls(half / c, -phi.a * half / c)
-
-    def to_automorphism(self) -> DiscAutomorphism:
-        return DiscAutomorphism(self.alpha / self.alpha.conjugate(), -self.beta / self.alpha)
-
-    def __matmul__(self, other: "MoebiusMatrix") -> "MoebiusMatrix":
-        a1, b1 = self.alpha, self.beta
-        a2, b2 = other.alpha, other.beta
-        return MoebiusMatrix(a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
-
-    def renormalized(self) -> "MoebiusMatrix":
-        """Rescale so that ``|alpha|^2 - |beta|^2 = 1`` without overflow."""
-        m = max(abs(self.alpha), abs(self.beta))
-        if m == 0.0 or not math.isfinite(m):
-            raise DomainError("degenerate Moebius matrix")
-        alpha, beta = self.alpha / m, self.beta / m
-        d = (abs(alpha) - abs(beta)) * (abs(alpha) + abs(beta))
-        if d > 0.0:
-            s = math.sqrt(d)
-            alpha, beta = alpha / s, beta / s
-        return MoebiusMatrix(alpha, beta)
 
 
 class Kind(Enum):
@@ -276,9 +225,15 @@ def eval_auto(phi: DiscAutomorphism, z: complex) -> complex:
 
 
 def compose(outer: DiscAutomorphism, inner: DiscAutomorphism) -> DiscAutomorphism:
-    """The composition ``outer o inner`` (apply ``inner`` first)."""
-    m = outer.matrix() @ inner.matrix()
-    return m.renormalized().to_automorphism()
+    """The composition ``outer o inner`` (apply ``inner`` first).
+
+    With ``w = lam_in + a_out conj(a_in)`` (nonzero, as ``|a_out conj(a_in)|
+    < 1``) the zero is ``inner^{-1}(a_out) = (a_out + lam_in a_in)/w`` and
+    the phase is ``lam_out w/(lam_in conj(w))``, read off at ``z = 0``.
+    """
+    w = inner.lam + outer.a * inner.a.conjugate()
+    lam = outer.lam * w / (inner.lam * w.conjugate())
+    return DiscAutomorphism(lam, (outer.a + inner.lam * inner.a) / w)
 
 
 def inverse(phi: DiscAutomorphism) -> DiscAutomorphism:
@@ -286,33 +241,59 @@ def inverse(phi: DiscAutomorphism) -> DiscAutomorphism:
     return DiscAutomorphism(phi.lam.conjugate(), -phi.lam * phi.a)
 
 
+def _su11(phi: DiscAutomorphism):
+    """The SU(1,1) entries ``(alpha, beta)`` of ``phi``: ``alpha = sqrt(lam)/c``
+    and ``beta = -a sqrt(lam)/c`` with ``c = sqrt(1 - |a|^2)``.  The principal
+    square root gives ``Re alpha >= 0``."""
+    half = cmath.sqrt(phi.lam)  # principal square root, unit modulus
+    c = math.sqrt((1.0 - abs(phi.a)) * (1.0 + abs(phi.a)))
+    return half / c, -phi.a * half / c
+
+
 def iterate(phi: DiscAutomorphism, n: int) -> DiscAutomorphism:
     """The n-fold composition of ``phi`` (negative ``n`` iterates the inverse).
 
-    Uses binary powering on the SU(1,1) representative with renormalization
-    after every squaring, so the cost is O(log |n|) and the trace
-    normalization cannot drift.  Iterates of non-elliptic maps converge to a
-    boundary point; once the result is within 1e-14 of the boundary it is no
-    longer representable and ``DomainError`` says so.
+    Closed form, by Cayley-Hamilton: the SU(1,1) matrix ``M`` of ``phi`` has
+    determinant 1 and trace ``2 tau``, ``tau = Re alpha >= 0``, so ``M^n =
+    U_{n-1}(tau) M - U_{n-2}(tau) I`` with the Chebyshev polynomials ``T``,
+    ``U`` (Mason & Handscomb, *Chebyshev Polynomials*, 2003).  By ``U_{n-2}
+    = tau U_{n-1} - T_n`` its top row is ``A = T_n + i U_{n-1} Im alpha`` and
+    ``U_{n-1} beta``, so ``lam_n = A/conj(A)`` and ``a_n = -U_{n-1} beta/A``.
+    With ``tau^2 - 1 = (|beta| - |Im alpha|)(|beta| + |Im alpha|)`` (no
+    cancellation): ``T_n = cos(n theta)``, ``U_{n-1} = sin(n theta)/sin
+    theta``, ``theta = atan2(sqrt(1 - tau^2), tau)`` for ``tau < 1``;
+    ``cosh``/``sinh`` with ``theta = log1p((tau^2 - 1)/(tau + 1) +
+    sqrt(tau^2 - 1))`` for ``tau > 1``; ``T_n = 1``, ``U_{n-1} = n`` for
+    ``tau = 1``.  This is the exact power of the stored map (no class, no
+    band), ``A`` needs no subtraction, and ``T_n``, ``U_{n-1}`` share one
+    angle, so a rounded angle still gives an exact power.  Once the zero is
+    within 1e-14 of the circle, or ``cosh`` overflows, the iterate is not
+    representable and ``DomainError`` says so.
     """
     n = int(n)
     if abs(n) > MAX_ITERATE:
         raise DomainError(f"iteration count limited to |n| <= {MAX_ITERATE}")
     if n == 0:
         return identity()
-    base = (phi if n > 0 else inverse(phi)).matrix()
+    alpha, beta = _su11(phi)
+    if n < 0:  # the inverse's matrix
+        alpha, beta = alpha.conjugate(), -beta
     k = abs(n)
-    acc: Optional[MoebiusMatrix] = None
+    d = (abs(beta) - abs(alpha.imag)) * (abs(beta) + abs(alpha.imag))  # tau^2 - 1
     try:
-        while k:
-            if k & 1:
-                acc = base if acc is None else (acc @ base).renormalized()
-            k >>= 1
-            if k:
-                base = (base @ base).renormalized()
-        assert acc is not None
-        return acc.to_automorphism()
-    except DomainError:
+        if d < 0.0:
+            s = math.sqrt(-d)
+            x = k * math.atan2(s, alpha.real)
+            t, u = math.cos(x), math.sin(x) / s
+        elif d > 0.0:
+            s = math.sqrt(d)
+            x = k * math.log1p(d / (alpha.real + 1.0) + s)
+            t, u = math.cosh(x), math.sinh(x) / s
+        else:
+            t, u = 1.0, float(k)
+        A = complex(t, u * alpha.imag)
+        return DiscAutomorphism(A / A.conjugate(), -u * beta / A)
+    except (DomainError, OverflowError):
         raise DomainError(
             f"the zero of the {n}-th iterate lies within 1e-14 of the unit circle "
             "in floating point; the iterate is not representable"
@@ -377,21 +358,25 @@ def _mat_apply(m, z):
 def _disc_from_matrix(m) -> DiscAutomorphism:
     """Extract a disc automorphism from a general matrix that preserves D.
 
-    A GL(2,C) matrix preserving the disc is a scalar multiple of an SU(1,1)
-    matrix; divide out ``sqrt(det)`` and check the conjugation structure.
+    A GL(2,C) matrix preserving the disc is ``c [[alpha, beta], [conj(beta),
+    conj(alpha)]]`` with an SU(1,1) matrix and a scalar ``c``, so ``lam =
+    alpha/conj(alpha) = m0/m3`` and ``a = -beta/alpha = -m1/m0``.  These
+    ratios need no ``sqrt(det)``, whose cancellation near the circle would
+    cost ``u/|det|`` of relative precision; the conjugation structure is
+    checked in the same form: ``|m3| = |m0|`` and ``m2 conj(m0) = m3
+    conj(m1)``.
     """
-    det = m[0] * m[3] - m[1] * m[2]
-    if det == 0:
+    if m[0] * m[3] - m[1] * m[2] == 0:
         raise DomainError("singular matrix")
-    c = cmath.sqrt(det)
-    alpha, beta = m[0] / c, m[1] / c
-    scale = 1.0 + abs(alpha) + abs(beta)
+    scale = abs(m[0]) * abs(m[3])
+    if not 0.0 < scale < math.inf:
+        raise DomainError("degenerate Moebius matrix")
     if (
-        abs(m[2] / c - beta.conjugate()) > 1e-8 * scale
-        or abs(m[3] / c - alpha.conjugate()) > 1e-8 * scale
+        not abs(abs(m[3]) - abs(m[0])) <= 1e-8 * abs(m[0])
+        or not abs(m[2] * m[0].conjugate() - m[3] * m[1].conjugate()) <= 1e-8 * scale
     ):
         raise DomainError("matrix does not preserve the unit disc")
-    return MoebiusMatrix(alpha, beta).renormalized().to_automorphism()
+    return DiscAutomorphism(m[0] / m[3], -m[1] / m[0])
 
 
 def _parabolic_translation_length(phi: DiscAutomorphism, w: complex) -> float:
@@ -420,9 +405,9 @@ def classify(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Classification
     if phi.is_identity():
         return Classification(Kind.IDENTITY, (), 1.0 + 0.0j, Orientation.NOT_APPLICABLE)
 
-    m = phi.matrix()
-    t = 2.0 * abs(m.alpha.real)
-    disc = 4.0 * (abs(m.beta) - abs(m.alpha.imag)) * (abs(m.beta) + abs(m.alpha.imag))
+    alpha, beta = _su11(phi)
+    t = 2.0 * alpha.real
+    disc = 4.0 * (abs(beta) - abs(alpha.imag)) * (abs(beta) + abs(alpha.imag))
     band = tol * (t + 2.0)
 
     if abs(disc) <= band:
@@ -544,7 +529,13 @@ class Chart(NamedTuple):
             raise IdentityError("the commutant of the identity is the whole group")
         if t == 0.0:
             return identity()
-        return self.conjugator(self, t=t)
+        try:
+            return self.conjugator(self, t=t)
+        except (DomainError, OverflowError):  # the chart product degenerates
+            raise DomainError(
+                f"the commutant element at t = {t!r} is not representable: its zero "
+                "lies within 1e-14 of the unit circle in floating point"
+            ) from None
 
     def parameter(self, u: complex, v: complex) -> Optional[float]:
         """The ``t`` whose model map carries the chart point ``v`` to ``u``.

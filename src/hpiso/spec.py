@@ -27,7 +27,7 @@ def _exponent(p) -> float:
 class IsometrySpec(Record):
     """Data of a weighted composition isometry of H^p.
 
-    ``phase`` is renormalized to unit modulus.  ``psi_zeros`` holds the
+    ``phase`` is scaled to unit modulus.  ``psi_zeros`` holds the
     finite Blaschke factors of ``Psi`` as disc automorphisms - each factor's
     own phase is part of the factor.  ``infinite`` optionally names an
     infinite-product construction (see ``hpiso.isometries``); such specs

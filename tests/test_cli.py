@@ -200,6 +200,14 @@ def test_commutant():
     assert_error_line(err, "IdentityError")
 
 
+def test_commutant_far_out_is_a_domain_error():
+    # an overflowing chart product is a DomainError, not an OverflowError
+    code, out, err = run_cli("commutant", "--phi", PSI_HALF, "--t=-360")
+    assert code == 4 and out == ""
+    assert_error_line(err, "DomainError")
+    assert "not representable" in json.loads(err)["message"]
+
+
 def test_verify_finite_and_truncated(tmp_path):
     spec = IsometrySpec(1.5, 1.0, (normalized_factor(0.2),), standard_hyperbolic(0.4))
     code, out, _ = run_cli("verify", "--spec", spec_json(spec), "--grid", "256")

@@ -22,7 +22,6 @@ from hpiso import (
     DomainError,
     IdentityError,
     Kind,
-    MoebiusMatrix,
     Orientation,
     are_conjugate,
     boundary_points,
@@ -150,18 +149,6 @@ def test_inverse_within_1e12_of_identity(rng):
         assert abs(eval_auto(inv, eval_auto(phi, z)) - z) < 1e-13
 
 
-def test_matrix_representation_roundtrip(rng):
-    for _ in range(100):
-        phi = random_automorphism(rng)
-        m = MoebiusMatrix.from_automorphism(phi)
-        assert abs(m.det - 1.0) < 1e-12
-        back = m.to_automorphism()
-        assert abs(back.lam - phi.lam) < 1e-12 and abs(back.a - phi.a) < 1e-12
-        psi = random_automorphism(rng)
-        prod = (m @ psi.matrix()).renormalized().to_automorphism()
-        assert pointwise_distance(prod, compose(phi, psi)) < 1e-11
-
-
 # ---------------------------------------------------------------------------
 # iteration
 
@@ -187,9 +174,9 @@ def test_iterate_additivity(rng):
         except DomainError:
             continue  # non-elliptic deep iterates may leave the representable disc
         gap = min(1.0 - abs(g.a) for g in (left, *parts))
-        # renormalizing a state at distance `gap` from the boundary costs
-        # ~eps/gap of relative precision, so the identity can only be asked
-        # for at 1e-10 while the states stay clear of the degenerate shell
+        # composing states at distance `gap` from the boundary costs ~eps/gap
+        # of relative precision, so the identity can only be asked for at
+        # 1e-10 while the states stay clear of the degenerate shell
         tol = 1e-10 if gap > 1e-4 else 2000.0 * 2.3e-16 / gap
         assert pointwise_distance(left, right, circle_points(0.5, 8)) <= tol
 
@@ -446,6 +433,29 @@ def test_commutant_homomorphism_and_membership(rng):
             assert commutant_element(phi, 0.0).is_identity()
     with pytest.raises(IdentityError):
         commutant_element(identity(), 0.5)
+
+
+@pytest.mark.parametrize(
+    "phi, near, far",
+    [
+        (standard_hyperbolic(0.5), 15.0, (20.0, 200.0, 360.0, 1e300)),
+        (compose(disc_translation(0.3 + 0.4j),
+                 compose(standard_hyperbolic(0.5), disc_translation(-0.3 - 0.4j))), 14.0, (20.0, 200.0)),
+        (phi_parabolic_plus(), 1e3, (1e8, 1e300)),
+    ],
+    ids=["hyperbolic", "conjugated hyperbolic", "parabolic"],
+)
+def test_commutant_far_out_is_not_representable(phi, near, far):
+    # far out on the commutant the element's zero reaches the unit circle,
+    # whichever way the chart product fails there (overflow, a zero
+    # determinant, a broken structure check); up to that point the element
+    # is returned: the conjugated one at t = 14 is 6e-13 from the circle
+    for t in (near, -near):
+        assert commutes(phi, commutant_element(phi, t))
+    for t in far:
+        for signed in (t, -t):
+            with pytest.raises(DomainError, match="not representable"):
+                commutant_element(phi, signed)
 
 
 def test_commutant_recovers_the_map_at_its_own_parameter():

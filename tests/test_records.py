@@ -1,11 +1,11 @@
 """The value records keep the contract of a frozen dataclass.
 
-``DiscAutomorphism``, ``MoebiusMatrix``, ``Classification``,
-``CanonicalPair``, ``IsometrySpec`` and ``EquivWitness`` are compared with a
-frozen dataclass of the same name and fields built here: the same ``repr``
-and hash, ``==`` only within one class, no assignment or deletion.  Copies
-and pickles must hold the very floats of the original: normalizing
-``lam / |lam|`` again moves the last bit of many unit phases.
+``DiscAutomorphism``, ``Classification``, ``CanonicalPair``, ``IsometrySpec``
+and ``EquivWitness`` are compared with a frozen dataclass of the same name
+and fields built here: the same ``repr`` and hash, ``==`` only within one
+class, no assignment or deletion.  Copies and pickles must hold the very
+floats of the original: normalizing ``lam / |lam|`` again moves the last bit
+of many unit phases.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from hpiso import (
     EquivWitness,
     IsometrySpec,
     Kind,
-    MoebiusMatrix,
     Orientation,
     canonical_pair,
     classify,
@@ -39,7 +38,6 @@ from hpiso import (
 #: field names of each record, in order
 FIELDS = {
     DiscAutomorphism: ("lam", "a"),
-    MoebiusMatrix: ("alpha", "beta"),
     Classification: ("kind", "fixed_points", "multiplier", "orientation"),
     CanonicalPair: ("kappa", "eta"),
     IsometrySpec: ("p", "phase", "psi_zeros", "phi", "infinite"),
@@ -55,8 +53,6 @@ def samples() -> list:
     return [
         phi,
         par,
-        phi.matrix(),
-        par.matrix(),
         classify(phi),
         Classification(Kind.PARABOLIC, (1.0 + 0j,), 1.0 + 0j, Orientation.PLUS),
         canonical_pair(standard_hyperbolic(0.5)),
