@@ -29,9 +29,8 @@ _LAZY = {
     "blaschke": (
         "ZeroSequence", "TailCertificate", "DivergenceCertificate",
         "MergedTailCertificate", "ConvergenceVerdict", "normalized_factor",
-        "convergence_factors", "partial_blaschke_sum", "orbit_terms",
-        "convergence_certificate", "classify_blaschke", "eval_blaschke",
-        "write_orbit_csv", "write_csv_rows",
+        "orbit_terms", "convergence_certificate", "classify_blaschke",
+        "eval_blaschke", "write_orbit_csv", "write_csv_rows",
     ),
     "spec": ("IsometrySpec",),
     "hardy": (

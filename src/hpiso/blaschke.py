@@ -43,8 +43,6 @@ __all__ = [
     "MergedTailCertificate",
     "ConvergenceVerdict",
     "normalized_factor",
-    "convergence_factors",
-    "partial_blaschke_sum",
     "orbit_terms",
     "convergence_certificate",
     "classify_blaschke",
@@ -67,15 +65,6 @@ def normalized_factor(a: complex) -> DiscAutomorphism:
     if a == 0:
         return DiscAutomorphism(1.0, 0.0)
     return DiscAutomorphism(-a.conjugate() / abs(a), a)
-
-
-def convergence_factors(zeros: Sequence[complex]) -> list:
-    """Normalizing phases ``lam_k`` for the given zeros (1 where ``a_k = 0``)."""
-    out = []
-    for a in zeros:
-        a = complex(a)
-        out.append(1.0 + 0.0j if a == 0 else -a.conjugate() / abs(a))
-    return out
 
 
 @dataclass(frozen=True)
@@ -286,9 +275,6 @@ class DivergenceCertificate:
         if not 0.0 < self.delta <= 1.0:
             raise DomainError("divergence certificate needs delta in (0, 1]")
 
-    def partial_sum_lower(self, n: int) -> float:
-        return self.delta * int(n)
-
 
 @dataclass(frozen=True)
 class MergedTailCertificate:
@@ -311,6 +297,12 @@ class MergedTailCertificate:
             raise DomainError("tail index must be nonnegative")
         d = len(self.parts)
         return math.fsum(part.tail(m // d) for part in self.parts)
+
+
+def _phases(a: np.ndarray) -> np.ndarray:
+    """The normalizing phases ``lam_k`` of a zero array (1 where ``a_k = 0``)."""
+    mod = np.abs(a)
+    return np.divide(-np.conj(a), mod, out=np.ones_like(a), where=mod > 0.0)
 
 
 def orbit_terms(seq: ZeroSequence, n):
@@ -425,72 +417,52 @@ class ConvergenceVerdict:
     certificate: object = None
 
 
-def partial_blaschke_sum(seq: ZeroSequence, n: int) -> list:
-    """Prefix sums ``S_m = sum_{k <= m} (1 - |a_k|)`` for ``m = 1..n``.
-
-    Computed with compensated (Neumaier) summation so that even 10^4-term
-    prefixes carry no visible accumulation error.
-    """
-    n = int(n)
-    if n < 1:
-        raise DomainError("N must be at least 1")
-    total = 0.0
-    comp = 0.0
-    out = []
-    for term in orbit_terms(seq, n)[1].tolist():
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        out.append(total + comp)
-    return out
-
-
 def classify_blaschke(seq: ZeroSequence, n_max: int = 256) -> ConvergenceVerdict:
     """Decide the Blaschke condition for a zero sequence.
 
     Orbit-generated sequences get a certified verdict from
     ``convergence_certificate``.  Explicit sequences are ``Undetermined``:
     finitely many terms certify neither convergence nor divergence of any
-    extension, so only their partial sum is reported.
+    extension, so only their partial sum is reported.  ``partial_sum`` is
+    the exactly rounded sum of the first ``n_terms`` gaps of ``orbit_terms``
+    (``math.fsum``); an empty explicit sequence raises ``DomainError``.
     """
     n_max = int(n_max)
     if n_max < MIN_CLASSIFY_TERMS:
         raise DomainError(f"n_max must be at least {MIN_CLASSIFY_TERMS}")
+    n = min(n_max, len(seq.zeros)) if seq.is_explicit else n_max
+    if n < 1:
+        raise DomainError("N must be at least 1")
+    partial = math.fsum(orbit_terms(seq, n)[1].tolist())
 
-    if not seq.is_explicit:
-        cert = convergence_certificate(seq)
-        partial = partial_blaschke_sum(seq, n_max)[-1]
-        if isinstance(cert, DivergenceCertificate):
-            return ConvergenceVerdict(
-                "NotBlaschke",
-                "Linear",
-                "certified divergence: the orbit stays in a compact part of the disc, "
-                f"1 - |a_k| >= {cert.delta:.6g} for every k",
-                n_max,
-                partial,
-                cert,
-            )
+    if seq.is_explicit:
         return ConvergenceVerdict(
-            "Blaschke",
-            "Bounded",
-            f"certified summable tail ({cert.kind}); "
-            f"sum over all k is at most {partial + cert.tail(n_max):.6g}",
-            n_max,
+            "Undetermined",
+            "Other",
+            f"{n} terms of an explicit sequence cannot certify the Blaschke condition; "
+            "only orbit sequences carry certificates",
+            n,
+            partial,
+        )
+    cert = convergence_certificate(seq)
+    if isinstance(cert, DivergenceCertificate):
+        return ConvergenceVerdict(
+            "NotBlaschke",
+            "Linear",
+            "certified divergence: the orbit stays in a compact part of the disc, "
+            f"1 - |a_k| >= {cert.delta:.6g} for every k",
+            n,
             partial,
             cert,
         )
-
-    n = min(n_max, len(seq.zeros))
     return ConvergenceVerdict(
-        "Undetermined",
-        "Other",
-        f"{n} terms of an explicit sequence cannot certify the Blaschke condition; "
-        "only orbit sequences carry certificates",
+        "Blaschke",
+        "Bounded",
+        f"certified summable tail ({cert.kind}); "
+        f"sum over all k is at most {partial + cert.tail(n):.6g}",
         n,
-        partial_blaschke_sum(seq, n)[-1],
+        partial,
+        cert,
     )
 
 
@@ -520,9 +492,7 @@ def eval_blaschke(seq: ZeroSequence, z: complex, n_terms: int = 128):
 
     if seq.is_explicit:
         n = min(n_terms, len(seq.zeros))
-        remaining = math.fsum(
-            max(0.0, 1.0 - abs(a)) for a in seq.zeros[n:]
-        )
+        remaining = math.fsum(orbit_terms(seq, len(seq.zeros))[1][n:].tolist())
     else:
         cert = convergence_certificate(seq)
         if isinstance(cert, DivergenceCertificate):
@@ -533,9 +503,7 @@ def eval_blaschke(seq: ZeroSequence, z: complex, n_terms: int = 128):
         remaining = cert.tail(n)
 
     a, gap = orbit_terms(seq, n)
-    mod = np.abs(a)
-    lam = np.divide(-np.conj(a), mod, out=np.ones_like(a), where=mod > 0.0)
-    factors = lam * (z - a) / (1.0 - np.conj(a) * z)
+    factors = _phases(a) * (z - a) / (1.0 - np.conj(a) * z)
     factors[2.0 * gap <= 2.0**-54 * (1.0 - abs(z))] = 1.0  # 1 to working precision
     value = complex(np.prod(factors))
     tail_bound = abs(value) * 2.0 * remaining / (1.0 - abs(z))
@@ -561,7 +529,12 @@ def write_csv_rows(file, zeros, gaps, first: int = 0) -> float:
 
     Columns: n (counting from ``first``), re_b, im_b, one_minus_abs (the
     ``gaps``), partial_sum (their running sum); floats as ``repr``, LF line
-    ends, formatted ``CSV_CHUNK`` rows at a time.
+    ends, formatted ``CSV_CHUNK`` rows at a time.  The running sum is
+    ``np.cumsum``, recursive summation: for nonnegative gaps its ``k``-th
+    entry satisfies ``|S~_k - S_k| <= (k - 1) u S_k`` to first order, ``S_k``
+    the exact prefix sum (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §4.2).  Its last entry is ``decide_crownover``'s
+    ``partial_sum``; ``classify_blaschke`` totals are exactly rounded.
     """
     partial = np.cumsum(gaps)
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")

@@ -21,8 +21,8 @@ from typing import Optional
 from ._record import Record
 from .errors import DomainError, IdentityAmbiguity
 from .moebius import (
-    Chart, DiscAutomorphism, circle_points, compose, eval_auto, identity, inverse, model_chart,
-    pointwise_distance,
+    MAX_ZERO_MODULUS, Chart, DiscAutomorphism, circle_points, compose, eval_auto, identity, inverse,
+    model_chart, pointwise_distance,
 )
 from .spec import IsometrySpec
 
@@ -167,6 +167,26 @@ def _invariant_gap(s1: IsometrySpec, s2: IsometrySpec, tol: float):
     return gap, band * (1.0 + 64 * u)
 
 
+def _witness_clears_cap(s1: IsometrySpec, s2: IsometrySpec, tol: float) -> bool:
+    """True when every witness ``eta`` keeps its zero ``c`` at least ``1e-13``
+    (ten times the cap's ``1e-14``) from the circle.
+
+    ``eta^{-1}`` sends 0 to ``c`` and each zero ``a`` of ``Psi_1`` within
+    ``10 tol + 32u/(1 - |a|)`` of a zero ``b`` of ``Psi_2`` (``_invariant_gap``)
+    and keeps hyperbolic distances, so ``atanh|c| <= atanh|a| + atanh|b'|``:
+    ``1 - |c| >= (1 - |a|)(1 - |b'|)/(1 + |a||b'|)``, here for the smallest
+    ``|a|`` against the largest ``|b|`` and the reverse.  A candidate that is
+    not representable has its zero within about ``1e-14`` of the circle (the
+    chart product is accurate to about ``1e-15`` there), so it is no witness.
+    """
+    a, b = (sorted(abs(f.a) for f in s.psi_zeros) for s in (s1, s2))
+    for x, y in ((a[0], b[-1]), (a[-1], b[0])):
+        r = y + 10.0 * tol + 32 * 2.0**-53 / (1.0 - x)
+        if r < 1.0 and (1.0 - x) * (1.0 - r) / (1.0 + x * r) > 10.0 * (1.0 - MAX_ZERO_MODULUS):
+            return True
+    return False
+
+
 def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, tol: float):
     """The first witness among the conjugators ``eta_0 o gamma_t`` from the
     map of chart ``c2`` to that of ``c1`` (``Chart.conjugator``), or None.
@@ -175,7 +195,9 @@ def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, 
     matching one pair in ``c2`` pins ``t``: ``gamma_t`` must carry the chart
     image of a zero of ``Psi_2`` to that of a zero of ``Psi_1`` moved by
     ``eta_0^{-1}``.  ``t = 0`` comes first, then the pairs in order,
-    skipping parameters within 1e-12 of an earlier one.
+    skipping parameters within 1e-12 of an earlier one.  Candidates that are
+    not representable are skipped; their ``DomainError`` is raised when no
+    witness turns up and ``_witness_clears_cap`` cannot rule them out.
     """
     eta0 = c2.conjugator(c1, tol)
     if eta0 is None:
@@ -189,10 +211,18 @@ def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, 
             t = c2.parameter(ui, vj)
             if t is not None and all(abs(t - s) > 1e-12 for s in ts):
                 ts.append(t)
+    skipped = None
     for t in ts:
-        w = _witness_from_eta(s1, s2, c2.conjugator(c1, tol, t), tol)
+        try:
+            eta = c2.conjugator(c1, tol, t)
+        except DomainError as exc:
+            skipped = skipped or exc
+            continue
+        w = _witness_from_eta(s1, s2, eta, tol)
         if w is not None:
             return w
+    if skipped is not None and not _witness_clears_cap(s1, s2, tol):
+        raise skipped
     return None
 
 

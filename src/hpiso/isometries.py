@@ -24,11 +24,10 @@ from .blaschke import (
     MergedTailCertificate,
     TailCertificate,
     ZeroSequence,
+    _phases,
     convergence_certificate,
-    convergence_factors,
     normalized_factor,
     orbit_terms,
-    partial_blaschke_sum,
     write_csv_rows,
 )
 from .hardy import _circle, inner_product_values, weight_function
@@ -77,7 +76,7 @@ def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] 
     if not isinstance(cert, TailCertificate):
         raise WrongClass("the thinned construction needs a hyperbolic or parabolic symbol")
     if budget is None:
-        budget = partial_blaschke_sum(base, 64)[-1] + cert.tail(64)
+        budget = math.fsum(orbit_terms(base, 64)[1].tolist()) + cert.tail(64)
     indices = []
     n = 2
     for k in range(1, count + 1):
@@ -224,7 +223,10 @@ def _evidence(spec: IsometrySpec, n: int):
 
 def evidence_rows(spec: IsometrySpec, n: int) -> list:
     """First ``n`` rows ``(zero, 1 - |zero|, partial_sum)`` of the
-    accumulated zero multiset, sequences interleaved factor-major."""
+    accumulated zero multiset, sequences interleaved factor-major;
+    ``partial_sum`` is the ``write_csv_rows`` column, with ``|S~_k - S_k| <=
+    (k - 1) u S_k`` (Higham §4.2), and its last entry ``decide_crownover``'s
+    ``partial_sum`` (``classify_blaschke`` totals are exactly rounded)."""
     _, zeros, gaps = _evidence(spec, n)
     return list(zip(zeros.tolist(), gaps.tolist(), np.cumsum(gaps).tolist()))
 
@@ -472,12 +474,8 @@ def invariant_subspace_check(
         )
 
     seq = ZeroSequence.orbit(psi_fac, phi)
-    zeros = seq.terms_up_to(n_trunc + 1)
-    lams = convergence_factors(zeros)
-
-    def factor_at(k, z):  # scalar z, plain complex arithmetic
-        a = zeros[k]
-        return lams[k] * (z - a) / (1.0 - a.conjugate() * z)
+    orbit = orbit_terms(seq, n_trunc + 1)[0]
+    zeros, lams = orbit.tolist(), _phases(orbit)
 
     # a test point on the circle that stays away from every zero used
     zeta_star = None
@@ -489,25 +487,24 @@ def invariant_subspace_check(
     if zeta_star is None:
         raise DomainError("could not place a test point away from the orbit zeros")
 
-    mu = spec.phase * eval_auto(psi_fac, zeta_star) / factor_at(0, zeta_star)
-    rho = mu
     w_star = eval_auto(phi, zeta_star)
-    for k in range(n_trunc):
-        rho *= factor_at(k, w_star) / factor_at(k + 1, zeta_star)
-
     m = int(ctx.grid_size)
     z = _circle(m, radius)
     w = inner_product_values([phi.a], z, phi.lam)
-    lam_n = math.prod(lams[:n_trunc])
-    b_n = inner_product_values(zeros[:n_trunc], np.concatenate([z, w]), lam_n)
-    b_n_z, b_n_w = b_n[:m], b_n[m:]
+    lam_n = np.prod(lams[:n_trunc])
+    b_n = inner_product_values(zeros[:n_trunc], np.concatenate([z, w, [zeta_star, w_star]]), lam_n)
+    b_n_z, b_n_w = b_n[:m], b_n[m : 2 * m]
+    c_n = inner_product_values([zeros[n_trunc]], np.append(z, zeta_star), lams[n_trunc])
+    # psi = mu c_0 and c_k o phi = nu_k c_{k+1} telescope to
+    # rho = mu prod_{k<N} nu_k = phase psi(z*) B_N(w*) / (B_N(z*) c_N(z*))
+    rho = complex(spec.phase * eval_auto(psi_fac, zeta_star) * b_n[-1] / (b_n[-2] * c_n[-1]))
     weight = weight_function(phi, spec.p, z)
     psi_vals = inner_product_values([psi_fac.a], z, psi_fac.lam)
     g_w = g(w)
 
     lhs = spec.phase * psi_vals * weight * b_n_w * g_w
     core = rho * b_n_z * weight * g_w
-    rhs = core * inner_product_values([zeros[n_trunc]], z, lams[n_trunc])
+    rhs = core * c_n[:m]
     defect = float(np.max(np.abs(lhs - rhs)))
     defect_unc = float(np.max(np.abs(lhs - core)))
 

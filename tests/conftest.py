@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ def random_by_kind(rng: np.random.Generator, kind: str) -> DiscAutomorphism:
         "Parabolic": random_parabolic,
         "Hyperbolic": random_hyperbolic,
     }[kind](rng)
+
+
+def exactly_rounded_sum(gaps) -> float:
+    """The float nearest the exact rational sum of ``gaps``."""
+    return float(sum(map(Fraction, gaps.tolist()), Fraction(0)))
 
 
 def phi_parabolic_plus() -> DiscAutomorphism:

@@ -30,7 +30,6 @@ from hpiso import (
     construct_nonzero_intersection,
     construct_zero_intersection,
     convergence_certificate,
-    convergence_factors,
     decide_crownover,
     decide_equivalent,
     eval_auto,
@@ -275,7 +274,7 @@ def test_criterion_09_intersection_constructions(verdict):
     for phi in (PHI_I, PSI_HALF):
         con = construct_zero_intersection(phi)
         zeros = con.own_zeros(n_trunc)
-        lams = convergence_factors(zeros)
+        lams = [1.0 + 0.0j if a == 0 else -a.conjugate() / abs(a) for a in zeros]
         seq = ZeroSequence.forward_orbit(phi)
         for _ in range(16):
             z = interior_point(rng, 0.6)

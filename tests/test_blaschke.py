@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,20 +28,20 @@ from hpiso import (
     classify_blaschke,
     compose,
     convergence_certificate,
-    convergence_factors,
     eval_auto,
     eval_blaschke,
     identity,
     inverse,
     iterate,
     normalized_factor,
-    partial_blaschke_sum,
+    orbit_terms,
     rotation,
     standard_hyperbolic,
     write_orbit_csv,
 )
 
 from conftest import (
+    exactly_rounded_sum,
     interior_point,
     phi_parabolic_plus,
     random_by_kind,
@@ -72,13 +73,6 @@ def test_normalized_factor_zero_and_positivity(rng):
         assert abs(v.imag) < 1e-15 and v.real >= 0.0
         assert abs(v.real - abs(a)) < 1e-15
     assert normalized_factor(0.0).is_identity()
-
-
-def test_convergence_factors_match_normalized_factors(rng):
-    zeros = [interior_point(rng, 0.9) for _ in range(10)] + [0.0]
-    lams = convergence_factors(zeros)
-    for a, lam in zip(zeros, lams):
-        assert abs(lam - normalized_factor(a).lam) < 1e-15
 
 
 def test_explicit_sequence_basics():
@@ -126,19 +120,6 @@ def test_backward_orbit_closed_form():
         assert abs((1.0 - abs(a) ** 2) - 1.0 / (n * n + 1.0)) <= 1e-12
 
 
-def test_partial_blaschke_sum_prefix_list(rng):
-    seq = ZeroSequence.explicit([interior_point(rng, 0.9) for _ in range(40)])
-    partials = partial_blaschke_sum(seq, 40)
-    assert len(partials) == 40
-    direct = 0.0
-    for k, a in enumerate(seq.terms_up_to(40)):
-        direct += 1.0 - abs(a)
-        assert abs(partials[k] - direct) < 1e-13
-    assert all(b >= a for a, b in zip(partials, partials[1:]))
-    with pytest.raises(DomainError):
-        partial_blaschke_sum(seq, 0)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -151,7 +132,6 @@ def test_certificate_elliptic_and_identity_divergence(rng):
         assert isinstance(cert, DivergenceCertificate)
         for a in seq.terms_up_to(300):
             assert 1.0 - abs(a) >= cert.delta - NOISE
-        assert cert.partial_sum_lower(100) == pytest.approx(100 * cert.delta)
 
     seq = ZeroSequence.orbit(normalized_factor(0.3 + 0.2j), identity())
     cert = convergence_certificate(seq)
@@ -323,7 +303,26 @@ def test_classify_explicit_is_always_undetermined(zeros, n_max):
     n = min(n_max, len(zeros))
     assert v.verdict == "Undetermined" and v.growth == "Other"
     assert v.n_terms == n and f"{n} terms" in v.reason
-    assert v.partial_sum == partial_blaschke_sum(seq, n)[-1]
+    assert v.partial_sum == exactly_rounded_sum(orbit_terms(seq, n)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("Elliptic", "Hyperbolic", "Parabolic")),
+    st.integers(min_value=64, max_value=700),
+)
+def test_classify_orbit_partial_sum_is_exactly_rounded(seed, kind, n_max):
+    rng = np.random.default_rng(seed)
+    seq = ZeroSequence.orbit(normalized_factor(interior_point(rng, 0.9)), random_by_kind(rng, kind))
+    v = classify_blaschke(seq, n_max=n_max)
+    assert v.n_terms == n_max
+    assert v.partial_sum == exactly_rounded_sum(orbit_terms(seq, n_max)[1])
+
+
+def test_classify_empty_explicit_sequence_raises():
+    with pytest.raises(DomainError):
+        classify_blaschke(ZeroSequence.explicit([]))
 
 
 def test_classify_explicit_too_short():
@@ -369,7 +368,7 @@ def test_conjugated_orbit_stays_certified_blaschke(rng):
 
 def test_finite_product_unimodular_on_circle(rng):
     zeros = [interior_point(rng, 0.95) for _ in range(10000)]
-    lams = convergence_factors(zeros)
+    lams = [1.0 + 0.0j if a == 0 else -a.conjugate() / abs(a) for a in zeros]
     import cmath
     for theta in (0.1, 2.5, 4.0):
         z = cmath.exp(1j * theta)

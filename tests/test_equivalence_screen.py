@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from hpiso import (
     AmbiguousClassification,
     DiscAutomorphism,
+    DomainError,
     IdentityAmbiguity,
     IsometrySpec,
     compose,
@@ -127,6 +129,7 @@ def test_screen_never_fires_within_the_match_cap(data):
 def test_moved_zero_rounding_within_the_band_term(r, t, rc, tc, tl):
     # e = 32u/(1 - |a|) bounds |fl(eval_auto(g, a)) - g(a)| for the exact
     # automorphism with g's zero and its phase made unimodular
+    assume(abs(polar(rc, tc)) <= MAX_ZERO_MODULUS)  # the rotation can round |zero| past the cap
     g = DiscAutomorphism(cmath.exp(2j * math.pi * tl), polar(rc, tc))
     a = polar(r, t)
     with mp.workprec(200):
@@ -158,6 +161,18 @@ def test_screen_keeps_every_verdict_and_witness(data):
     except AmbiguousClassification:
         with pytest.raises(AmbiguousClassification):
             decide_equivalent(s1, s2)
+        return
+    except DomainError as exc:
+        # a candidate that is not representable and that no bound rules out
+        # (zeros near the circle on both sides): the same error, unless the
+        # screen certifies that no witness exists
+        gap, band = eq._invariant_gap(s1, s2, 1e-9)
+        assert not eq._witness_clears_cap(s1, s2, 1e-9)
+        if gap > band:
+            assert decide_equivalent(s1, s2) is None
+        else:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                decide_equivalent(s1, s2)
         return
     assert witness_key(decide_equivalent(s1, s2)) == witness_key(want)
 
@@ -244,3 +259,31 @@ def test_inequivalent_d8_pair_builds_no_candidate(monkeypatch):
     # the counters see the candidates of the equivalent pair
     assert decide_equivalent(s1, conjugated_spec(s1, eta, cmath.exp(0.4j))) is not None
     assert calls["conjugator"] >= 1 and calls["witness"] >= 1
+
+
+@pytest.mark.parametrize("c", [1j, -1j])
+@pytest.mark.parametrize("shift", [0.0, 0.1, 0.1j, -0.3])
+def test_unrepresentable_candidates_are_skipped(c, shift):
+    # a zero at the centre and one 1e-9 from the fixed point 1 pin commutant
+    # parameters whose candidates pass the 1e-14 cap; the zeros at 0 keep
+    # every witness's zero 1e-9 from the circle, so the answer is None
+    phi = parabolic_fixing_one(c)
+    zeros = [0.0, 0.0, 1.0 - 1e-9, 1.0 - 1e-9]
+    s1 = spec(zeros, phi)
+    s2 = conjugated_spec(spec(zeros[:-1] + [zeros[-1] + 1e-7j], phi), disc_translation(shift), 1.0)
+    assert eq._witness_clears_cap(s1, s2, 1e-9) and eq._witness_clears_cap(s2, s1, 1e-9)
+    assert decide_equivalent(s1, s2) is None
+    assert decide_equivalent(s2, s1) is None
+
+
+def test_unrepresentable_candidate_still_raises_when_a_witness_could_reach_the_cap():
+    # every zero is 1e-9 from the circle, so a witness's zero could be too;
+    # the candidate pinned by the zero 1e-7 (in angle) from the fixed point
+    # is not representable, and the search cannot rule it out
+    phi = parabolic_fixing_one(1j)
+    r = 1.0 - 1e-9
+    s1 = spec([r * cmath.exp(1e-7j), r * cmath.exp(1j)], phi)
+    s2 = spec([r * cmath.exp(0.5j), r * cmath.exp(2j)], phi)
+    assert not eq._witness_clears_cap(s1, s2, 1e-9)
+    with pytest.raises(DomainError, match="zero must lie strictly inside the disc"):
+        decide_equivalent(s1, s2)

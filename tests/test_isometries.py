@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -36,6 +37,7 @@ from hpiso import (
     convergence_certificate,
     decide_crownover,
     decide_equivalent,
+    disc_translation,
     eval_auto,
     evidence_rows,
     identity,
@@ -43,6 +45,8 @@ from hpiso import (
     invariant_subspace_check,
     iterate,
     normalized_factor,
+    orbit_terms,
+    parabolic_fixing_one,
     pointwise_distance,
     random_polynomial,
     rotation,
@@ -398,6 +402,61 @@ def test_invariant_subspace_certified(rng):
             assert rep.n_terms == 512 and rep.radius == 0.5
             # the correction factor tends to 1: dropping it costs only the tail
             assert rep.defect_uncorrected <= rep.tail_bound + 1e-8
+
+
+RHO_SYMBOLS = (
+    phi_parabolic_plus(),
+    parabolic_fixing_one(cmath.exp(-2.2j)),
+    standard_hyperbolic(0.5),
+    standard_hyperbolic(-0.85),
+    compose(disc_translation(0.3 - 0.4j), compose(standard_hyperbolic(0.3), disc_translation(-0.3 + 0.4j))),
+    compose(disc_translation(-0.6j), compose(parabolic_fixing_one(-1j), disc_translation(0.6j))),
+)
+
+
+@pytest.mark.parametrize("phi", RHO_SYMBOLS)
+@pytest.mark.parametrize("alpha, radius", [(0.3 + 0.1j, 0.5), (-0.9j, 0.5), (0.6, 0.8)])
+def test_invariant_subspace_rho_matches_50_digit_product(phi, alpha, radius):
+    """``rho`` against ``mu prod_{k<N} f_k(w*)/f_{k+1}(z*)``, ``mu = phase
+    psi(z*)/f_0(z*)``, at 50 digits, on the float zeros, test point ``z*``
+    and ``w* = fl(phi(z*))``.
+
+    First-order rounding bound from the operation count, ``u = 2^-53``: in
+    ``inner_product_values`` a factor at ``x`` costs at most one rounding in
+    ``x - a``, two complex products (``sqrt(2) gamma_2`` each, Higham §3.6)
+    into the numerator and denominator buffers and one into the scale
+    ``-conj(a)``, and a denominator whose relative error is at most ``u + 4u
+    / (1 - |x|)`` (``x - 1/conj(a)``, the reciprocal within ``4u``, for ``|a|
+    >= 1/2``; ``1 - conj(a) x`` within ``4u`` otherwise): at most ``16u / (1
+    - |x|)``, the per-block division and product included.  ``rho`` takes
+    ``N`` factors at ``w*`` and ``N + 1`` at ``z*``; ``eval_auto`` for ``psi``,
+    the phase ``lam_N`` and the four products and quotients assembling
+    ``rho`` add less than ``64u``.
+    """
+    n = 512
+    spec = IsometrySpec(3.0, cmath.exp(0.7j), (normalized_factor(alpha),), phi)
+    rep = invariant_subspace_check(spec, lambda w: np.ones_like(w), HpContext(3.0, 64), n_trunc=n, radius=radius)
+    zeros = orbit_terms(ZeroSequence.orbit(spec.psi_zeros[0], phi), n + 1)[0].tolist()
+    z_star = radius * cmath.exp(0.377j)  # the first test point tried
+    assert min(abs(z_star - a) for a in zeros) > 1e-6
+    w_star = eval_auto(phi, z_star)
+    with mp.workdps(50):
+        def factor(lam, a, x):
+            a, x = mp.mpc(a), mp.mpc(x)
+            return lam * (x - a) / (1 - mp.conj(a) * x)
+
+        def orbit_factor(a, x):
+            return factor(1 if a == 0 else -mp.conj(mp.mpc(a)) / abs(mp.mpc(a)), a, x)
+
+        psi = spec.psi_zeros[0]
+        # mu = phase psi(z*) / f_0(z*), then the telescoping product
+        exact = mp.mpc(spec.phase) * factor(mp.mpc(psi.lam), psi.a, z_star) / orbit_factor(zeros[0], z_star)
+        for k in range(n):
+            exact *= orbit_factor(zeros[k], w_star) / orbit_factor(zeros[k + 1], z_star)
+        err = float(abs(mp.mpc(rep.rho) - exact))
+    u = 2.0**-53
+    bound = 16 * u * ((n + 1) / (1.0 - abs(z_star)) + n / (1.0 - abs(w_star))) + 64 * u
+    assert err <= bound
 
 
 def test_invariant_subspace_identity_symbol(rng):

@@ -13,6 +13,7 @@ import cmath
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,14 +44,13 @@ from hpiso import (
     normalized_factor,
     orbit_terms,
     parabolic_fixing_one,
-    partial_blaschke_sum,
     rotation,
     standard_hyperbolic,
 )
 from hpiso.blaschke import CSV_CHUNK, write_csv_rows
 from hpiso.isometries import MAX_THINNING_INDEX
 
-from conftest import interior_point, random_by_kind
+from conftest import exactly_rounded_sum, interior_point, random_by_kind
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -216,13 +216,14 @@ def test_thinned_indices_match_linear_scan(seed, kind, count):
     phi = random_by_kind(np.random.default_rng(seed), kind)
     base = ZeroSequence.orbit(normalized_factor(eval_auto(inverse(phi), 0.0)), phi)
     cert = convergence_certificate(base)
+    budget = exactly_rounded_sum(orbit_terms(base, 64)[1]) + cert.tail(64)
     try:
         con = construct_nonzero_intersection(phi, count)
     except NotCertified:
-        budget = partial_blaschke_sum(base, 64)[-1] + cert.tail(64)
         with pytest.raises(NotCertified):
             scanned_indices(cert, budget, count)
         return
+    assert con.budget == budget  # bit for bit: the exact sum of 64 gaps, rounded, plus the tail
     assert con.indices == scanned_indices(cert, con.budget, count)
 
 
@@ -247,6 +248,24 @@ def test_write_csv_rows_matches_csv_module(rng):
         writer.writerow([k + 1, repr(b.real), repr(b.imag), repr(g), repr(running)])
     assert buf.getvalue() == ref.getvalue()
     assert total == running
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("Elliptic", "Hyperbolic", "Parabolic")),
+    st.integers(1, 3),
+    st.integers(1, 700),
+)
+def test_evidence_prefix_column_within_recursive_summation_bound(seed, kind, d, n):
+    # the np.cumsum column: |S~_k - S_k| <= gamma_{k-1} S_k for nonnegative gaps
+    rng = np.random.default_rng(seed)
+    zeros = tuple(normalized_factor(interior_point(rng, 0.9)) for _ in range(d))
+    rows = evidence_rows(IsometrySpec(3.0, 1.0, zeros, random_by_kind(rng, kind)), n)
+    u, exact = Fraction(UNIT_ROUNDOFF), Fraction(0)
+    for k, (_, gap, total) in enumerate(rows, start=1):
+        exact += Fraction(gap)
+        assert abs(Fraction(total) - exact) <= (k - 1) * u / (1 - (k - 1) * u) * exact
 
 
 def test_decide_crownover_writes_its_evidence(tmp_path):
