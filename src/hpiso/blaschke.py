@@ -331,7 +331,11 @@ def orbit_terms(seq: ZeroSequence, n):
     if kind is Kind.ELLIPTIC:
         theta = cmath.phase(action)
         hi = float(np.float32(theta))  # 24 bits: k * hi is exact for k < 2^29
-        zeta = zeta0 * np.exp(1j * (hi * k)) * np.exp(1j * ((theta - hi) * k))
+        # named factors: numpy reuses an unnamed temporary above 2^14 entries
+        # for an in-place product that rounds differently, so the bits of a
+        # term would depend on how many terms are asked for
+        turn, fine = np.exp(1j * (hi * k)), np.exp(1j * ((theta - hi) * k))
+        zeta = zeta0 * turn * fine
         height = (1.0 - abs(zeta0)) * (1.0 + abs(zeta0))
     elif kind is Kind.HYPERBOLIC:
         live = k < math.log(UNDERFLOW_HEIGHT / abs(zeta0)) / math.log(action)
@@ -480,6 +484,15 @@ def eval_blaschke(seq: ZeroSequence, z: complex, n_terms: int = 128):
     factors that this estimate puts within ``2^-54`` of 1 are taken as 1.
     Requires a ``ZeroSequence`` and ``|z| < 1``; divergent orbit sequences
     raise ``NotCertified``.
+
+    An orbit is walked only up to ``K = cert.first_index_below(2^-57 (1 -
+    |z|))``: every gap at an index ``>= K`` is at most ``tail(K)``, so each
+    later factor meets the ``2^-54`` rule and is exactly 1.  The factor 4
+    between ``2^-57`` and that rule covers the rounding of the computed gaps
+    and of the float ``tail``.  The product is sequential and a factor
+    ``1 + 0j`` is exact, so ``value`` has the bits of the full walk: the cost
+    is ``O(min(N, K))``, with ``K`` logarithmic in ``1/(1 - |z|)`` for
+    geometric (hyperbolic) tails.
     """
     if not isinstance(seq, ZeroSequence):
         raise DomainError("expected a ZeroSequence")
@@ -501,6 +514,7 @@ def eval_blaschke(seq: ZeroSequence, z: complex, n_terms: int = 128):
             )
         n = n_terms
         remaining = cert.tail(n)
+        n = min(n, cert.first_index_below(2.0**-57 * (1.0 - abs(z))))
 
     a, gap = orbit_terms(seq, n)
     factors = _phases(a) * (z - a) / (1.0 - np.conj(a) * z)

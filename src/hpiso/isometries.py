@@ -201,24 +201,40 @@ def codimension(spec: IsometrySpec):
 
 def _accumulated_sequences(spec: IsometrySpec) -> tuple:
     if spec.infinite is not None:
-        return spec.infinite.accumulated_sequences()
-    return tuple(ZeroSequence.orbit(fac, spec.phi) for fac in spec.psi_zeros)
-
-
-def _evidence(spec: IsometrySpec, n: int):
-    """The accumulated sequences and the first ``n`` zeros of their
-    multiset with their gaps ``1 - |zero|``, interleaved factor-major."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("need at least one evidence row")
-    seqs = _accumulated_sequences(spec)
+        seqs = spec.infinite.accumulated_sequences()
+    else:
+        seqs = tuple(ZeroSequence.orbit(fac, spec.phi) for fac in spec.psi_zeros)
     if not seqs:
         raise ZeroCodimension("no inner zeros: there is no evidence sequence")
+    return seqs
+
+
+def _interleaved(seqs: tuple, n: int):
+    """The first ``n`` zeros of the multiset of ``seqs`` with their gaps
+    ``1 - |zero|``, interleaved factor-major."""
+    if n < 1:
+        raise DomainError("need at least one evidence row")
     depth = -(-n // len(seqs))
     cols = [orbit_terms(s, depth) for s in seqs]
     zeros = np.stack([c[0] for c in cols], axis=1).ravel()[:n]
     gaps = np.stack([c[1] for c in cols], axis=1).ravel()[:n]
-    return seqs, zeros, gaps
+    return zeros, gaps
+
+
+def _settled_depth(seqs: tuple, certs: list):
+    """An inner index ``K`` from which no gap moves the evidence sum.
+
+    Every running sum after the first term is at least the first gap ``L``
+    and never decreases, and a recursive sum is unchanged by an addend below
+    half its ulp (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §2.1).  Each gap at an index ``>= K`` is at most ``tail(K) < ulp(L)/8``;
+    the factor 4 to spare covers the rounding of the computed gaps and of the
+    float ``tail``.  Without tail certificates there is no such index.
+    """
+    if not all(isinstance(c, TailCertificate) for c in certs):
+        return math.inf
+    target = math.ulp(float(orbit_terms(seqs[0], 1)[1][0])) / 8.0
+    return max(c.first_index_below(target) for c in certs)
 
 
 def evidence_rows(spec: IsometrySpec, n: int) -> list:
@@ -227,7 +243,7 @@ def evidence_rows(spec: IsometrySpec, n: int) -> list:
     ``partial_sum`` is the ``write_csv_rows`` column, with ``|S~_k - S_k| <=
     (k - 1) u S_k`` (Higham §4.2), and its last entry ``decide_crownover``'s
     ``partial_sum`` (``classify_blaschke`` totals are exactly rounded)."""
-    _, zeros, gaps = _evidence(spec, n)
+    zeros, gaps = _interleaved(_accumulated_sequences(spec), int(n))
     return list(zip(zeros.tolist(), gaps.tolist(), np.cumsum(gaps).tolist()))
 
 
@@ -244,6 +260,10 @@ def decide_crownover(
     parabolic symbols sweep them to the boundary summably (certified tail).
     The evidence reports ``n_evidence`` terms of that multiset, also written
     to ``evidence_csv`` (a path or text file) as ``write_csv_rows`` from 1.
+    Without a CSV the walk stops after ``d K`` terms (``_settled_depth``:
+    ``d`` sequences, no later gap can move the ``np.cumsum`` total), so
+    tail-certified specs cost ``O(min(n_evidence, d K))`` with the bits of
+    the full walk; ``K`` is logarithmic for geometric (hyperbolic) tails.
     Codimension 0 raises ``ZeroCodimension`` - the chain is constant there.
     """
     codim = codimension(spec)
@@ -253,11 +273,15 @@ def decide_crownover(
             "dichotomy does not apply"
         )
     n_evidence = int(n_evidence)
-    seqs, zeros, gaps = _evidence(spec, n_evidence)
+    seqs = _accumulated_sequences(spec)
+    certs = [convergence_certificate(s) for s in seqs]
+    walk = n_evidence
+    if evidence_csv is None:
+        walk = min(walk, len(seqs) * _settled_depth(seqs, certs))
+    zeros, gaps = _interleaved(seqs, walk)
     partial = float(np.cumsum(gaps)[-1])
     if evidence_csv is not None:
         write_csv_rows(evidence_csv, zeros, gaps, 1)
-    certs = [convergence_certificate(s) for s in seqs]
 
     if spec.infinite is not None:
         con = spec.infinite

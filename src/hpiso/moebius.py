@@ -718,6 +718,32 @@ def pointwise_distance(
     return max(abs(eval_auto(f, z) - eval_auto(g, z)) for z in points)
 
 
-def commutes(phi: DiscAutomorphism, sigma: DiscAutomorphism, tol: float = 1e-10) -> bool:
-    """Whether ``phi o sigma = sigma o phi`` pointwise within ``tol``."""
-    return pointwise_distance(compose(phi, sigma), compose(sigma, phi)) <= tol
+def _moved(outer: DiscAutomorphism, inner: DiscAutomorphism, z: complex) -> float:
+    """First-order bound on how far ``outer(inner(z))`` moves per unit
+    relative change of the entries of both maps.  A map with zero ``a`` moves
+    by at most ``1 + 2/|1 - conj(a) z|`` at ``z`` and has derivative ``(1 -
+    |a|^2)/|1 - conj(a) w|^2`` at ``w``, which carries the move of ``inner``."""
+    w = eval_auto(inner, z)
+    bo, bi = abs(1.0 - outer.a.conjugate() * w), abs(1.0 - inner.a.conjugate() * z)
+    stretch = (1.0 - abs(outer.a)) * (1.0 + abs(outer.a)) / (bo * bo)
+    return 1.0 + 2.0 / bo + stretch * (1.0 + 2.0 / bi)
+
+
+def commutes(phi: DiscAutomorphism, sigma: DiscAutomorphism, tol: Optional[float] = None) -> bool:
+    """Whether ``phi o sigma = sigma o phi`` pointwise within ``tol``.
+
+    By default each sample point gets its own tolerance: what moving every
+    entry of both maps by ``2^12 u`` (relative) can do to the two
+    compositions there (``_moved``).  That covers the rounding of ``compose``
+    and ``eval_auto`` and of maps built in floats.  In a seeded sweep of
+    commutant elements of all classes, with zeros out to ``1 - 1e-12``, the
+    distance reached ``477 u`` times the summed bounds (an eighth of the
+    tolerance); non-commuting pairs stayed above ``6e10 u`` times them.
+    """
+    f, g = compose(phi, sigma), compose(sigma, phi)
+    if tol is not None:
+        return pointwise_distance(f, g) <= tol
+    return all(
+        abs(eval_auto(f, z) - eval_auto(g, z)) <= 2.0**-41 * (_moved(phi, sigma, z) + _moved(sigma, phi, z))
+        for z in _COMMUTE_POINTS
+    )

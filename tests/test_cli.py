@@ -24,10 +24,14 @@ from hpiso import (
     IsometrySpec,
     ZeroSequence,
     compose,
+    construct_nonzero_intersection,
     construct_zero_intersection,
+    disc_translation,
     identity,
+    inverse,
     normalized_factor,
     parabolic_fixing_one,
+    rotation,
     standard_hyperbolic,
 )
 from hpiso import serialize as ser
@@ -150,6 +154,37 @@ def test_crownover_with_evidence_csv(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "n,re_b,im_b,one_minus_abs,partial_sum"
     assert len(rows) == 17 and rows[1].split(",")[0] == "1"
+
+
+def crownover_specs():
+    move = disc_translation(0.3 + 0.2j)
+    zeros = (normalized_factor(0.4 - 0.3j), normalized_factor(0.999 + 0.01j))
+    specs = {}
+    for name, kappa in (("hyperbolic", standard_hyperbolic(0.4)),
+                        ("parabolic", parabolic_fixing_one(1j)),
+                        ("elliptic", rotation(cmath.exp(0.7j)))):
+        phi = compose(move, compose(kappa, inverse(move)))
+        specs[name] = IsometrySpec(3.0, 1.0, zeros, phi)
+        if name != "elliptic":
+            con = construct_nonzero_intersection(phi, 5)
+            specs[f"thinned {name}"] = IsometrySpec(3.0, 1.0, (), phi, infinite=con)
+    return specs
+
+
+@pytest.mark.parametrize("name", list(crownover_specs()))
+def test_crownover_prints_the_same_with_and_without_out(tmp_path, name):
+    # only --out walks every evidence term; without it hyperbolic walks stop
+    # where the sum is settled, which must not move a printed byte
+    spec = spec_json(crownover_specs()[name])
+    for n in (1, 255, 4097, 2**17):
+        path = tmp_path / f"evidence_{n}.csv"
+        bare = run_cli("crownover", "--spec", spec, "--evidence", str(n))
+        written = run_cli("crownover", "--spec", spec, "--evidence", str(n), "--out", str(path))
+        assert bare[0] == written[0] == 0 and bare[2] == written[2] == ""
+        assert written[1].replace(json.dumps(str(path)), "null") == bare[1]
+        last = path.read_text().splitlines()[-1].split(",")
+        assert last[0] == str(n)
+        assert float(last[-1]) == json.loads(bare[1])["evidence"]["partial_sum"]
 
 
 def test_crownover_surjective_spec_fails():

@@ -490,6 +490,20 @@ def test_flip_normalizes_but_does_not_commute():
     assert pointwise_distance(conj, inverse(psi)) < 1e-12
 
 
+@pytest.mark.parametrize("t", [1e3, 1e4, 1e5, 1e6, -1e6])
+def test_commutes_near_the_circle(t):
+    # the element at t = 1e6 has its zero 2e-12 from the circle, and the two
+    # compositions agree only to 1.1e-10 at the sample points; a fixed 1e-10
+    # called that a failure to commute
+    phi = parabolic_fixing_one(1j)
+    g = commutant_element(phi, t)
+    assert commutes(phi, g) and commutes(g, phi)
+    # a map with its zero just as close to the circle that shares no fixed
+    # point with phi still fails
+    outsider = compose(rotation(cmath.exp(0.3j)), g)
+    assert not commutes(phi, outsider) and not commutes(outsider, phi)
+
+
 def test_commutes_iff_in_the_family(rng):
     for kind in KINDS:
         for _ in range(10):
