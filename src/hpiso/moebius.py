@@ -729,21 +729,23 @@ def _moved(outer: DiscAutomorphism, inner: DiscAutomorphism, z: complex) -> floa
     return 1.0 + 2.0 / bo + stretch * (1.0 + 2.0 / bi)
 
 
-def commutes(phi: DiscAutomorphism, sigma: DiscAutomorphism, tol: Optional[float] = None) -> bool:
-    """Whether ``phi o sigma = sigma o phi`` pointwise within ``tol``.
+def commutes(phi: DiscAutomorphism, sigma: DiscAutomorphism) -> bool:
+    """Whether ``phi o sigma = sigma o phi`` pointwise within rounding.
 
-    By default each sample point gets its own tolerance: what moving every
-    entry of both maps by ``2^12 u`` (relative) can do to the two
-    compositions there (``_moved``).  That covers the rounding of ``compose``
-    and ``eval_auto`` and of maps built in floats.  In a seeded sweep of
-    commutant elements of all classes, with zeros out to ``1 - 1e-12``, the
-    distance reached ``477 u`` times the summed bounds (an eighth of the
-    tolerance); non-commuting pairs stayed above ``6e10 u`` times them.
+    Each sample point gets its own tolerance: what moving every entry of
+    both maps by ``2^12 u`` (relative) can do to the two compositions there
+    (``_moved``), and never less than ``1e-10``.  The per-point part covers
+    the rounding of ``compose`` and ``eval_auto`` near the circle, where
+    commutant elements far out agree only to ``1e-10`` or worse.  The floor
+    covers maps built through ill-conditioned charts, whose entries carry
+    more than ``2^12 u``: commuting pairs conjugated by a zero ``1e-5`` or
+    ``1e-6`` from the circle, with multipliers near 1, differ by up to 64
+    times the per-point part.  Non-commuting pairs in a seeded sweep stayed above
+    ``6e10 u`` times it.
     """
     f, g = compose(phi, sigma), compose(sigma, phi)
-    if tol is not None:
-        return pointwise_distance(f, g) <= tol
     return all(
-        abs(eval_auto(f, z) - eval_auto(g, z)) <= 2.0**-41 * (_moved(phi, sigma, z) + _moved(sigma, phi, z))
+        abs(eval_auto(f, z) - eval_auto(g, z))
+        <= max(1e-10, 2.0**-41 * (_moved(phi, sigma, z) + _moved(sigma, phi, z)))
         for z in _COMMUTE_POINTS
     )

@@ -504,6 +504,25 @@ def test_commutes_near_the_circle(t):
     assert not commutes(phi, outsider) and not commutes(outsider, phi)
 
 
+@pytest.mark.parametrize(
+    "zero, m1, m2",
+    [
+        (0.99999 * cmath.exp(1j), standard_hyperbolic(1e-8), standard_hyperbolic(1e-5)),
+        (0.99999 * cmath.exp(4j), standard_hyperbolic(1e-8), standard_hyperbolic(1e-5)),
+        (0.999999 * cmath.exp(2j), standard_hyperbolic(1e-6), standard_hyperbolic(-1e-4)),
+        (0.999999 * cmath.exp(1j), rotation(cmath.exp(1e-8j)), rotation(cmath.exp(0.5j))),
+    ],
+)
+def test_commutes_through_ill_conditioned_conjugators(zero, m1, m2):
+    # conjugating maps with multipliers near 1 by a zero this close to the
+    # circle leaves their entries with far more than 2^12 u of error: the
+    # compositions differ by 1.5 to 6.6 times the per-point rounding bound,
+    # though by less than 1e-10
+    eta = disc_translation(zero)
+    phi, sigma = (compose(eta, compose(m, inverse(eta))) for m in (m1, m2))
+    assert commutes(phi, sigma) and commutes(sigma, phi)
+
+
 def test_commutes_iff_in_the_family(rng):
     for kind in KINDS:
         for _ in range(10):

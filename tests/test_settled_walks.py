@@ -19,16 +19,21 @@ import pytest
 
 from hpiso import (
     IsometrySpec,
+    TailCertificate,
     ZeroSequence,
+    compose,
     construct_nonzero_intersection,
     convergence_certificate,
     decide_crownover,
+    disc_translation,
     eval_blaschke,
     identity,
+    inverse,
     normalized_factor,
     orbit_terms,
+    standard_hyperbolic,
 )
-from hpiso.isometries import _accumulated_sequences
+from hpiso.isometries import _accumulated_sequences, _settled_depth
 
 from conftest import interior_point, random_by_kind
 
@@ -71,12 +76,23 @@ def hyperbolic_sequences(rng, count):
         yield ZeroSequence.forward_orbit(phi)
 
 
+def ill_conditioned_hyperbolic_sequences(rng, count):
+    # fixed points pushed together by a conjugator zero near the circle, and
+    # multipliers near 1: where rounding of the chart hurts the tail most
+    for _ in range(count):
+        r = 10.0 ** -rng.uniform(1.0, 3.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        eta = disc_translation((1.0 - 10.0 ** -rng.uniform(2.0, 3.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+        phi = compose(eta, compose(standard_hyperbolic(r), inverse(eta)))
+        yield ZeroSequence.orbit(normalized_factor(interior_point(rng, 0.99)), phi)
+        yield ZeroSequence.forward_orbit(phi)
+
+
 def same_bits(x: complex, y: complex) -> bool:
     return repr(x) == repr(y)
 
 
 def test_eval_blaschke_equals_the_full_walk(rng):
-    for seq in hyperbolic_sequences(rng, 6):
+    for seq in [*hyperbolic_sequences(rng, 6), *ill_conditioned_hyperbolic_sequences(rng, 2)]:
         for n in DEPTHS:
             for r in RADII:
                 z = r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -123,24 +139,24 @@ def computed_gaps_from(seq, k, count=4096):
 
 def test_settled_index_is_sound(rng):
     # every computed gap from K on lies below the target K was chosen for:
-    # the eval_blaschke target 2^-57 (1 - |z|), a quarter of the 2^-54 rule,
-    # and the decide_crownover target ulp(L)/8, a quarter of ulp(L)/2
-    for seq in hyperbolic_sequences(rng, 40):
+    # for eval_blaschke 2^-57 (1 - |z|), a quarter of the 2^-54 rule
+    seqs = list(hyperbolic_sequences(rng, 40)) + list(ill_conditioned_hyperbolic_sequences(rng, 20))
+    for seq in seqs:
         cert = convergence_certificate(seq)
-        first = float(orbit_terms(seq, 1)[1][0])
-        targets = [2.0**-57 * (1.0 - r) for r in RADII] + [math.ulp(first) / 8.0]
-        for target in targets:
-            k = cert.first_index_below(target)
-            assert np.all(computed_gaps_from(seq, k) < target)
-
-
-def test_thinned_settled_index_is_sound(rng):
-    for spec in thinned_specs(rng):
-        seqs = _accumulated_sequences(spec)
-        target = math.ulp(float(orbit_terms(seqs[0], 1)[1][0])) / 8.0
-        for seq in seqs:
-            k = convergence_certificate(seq).first_index_below(target)
-            assert np.all(computed_gaps_from(seq, k) < target)
+        for r in RADII:
+            target = 2.0**-57 * (1.0 - r)
+            assert np.all(computed_gaps_from(seq, cert.first_index_below(target)) < target), r
+    # for decide_crownover, from _settled_depth on every gap of every
+    # sequence lies below a quarter of ulp(L)/2, where L is the first gap: a
+    # running sum of at least L is unchanged by an addend below ulp(L)/2
+    groups = [(seq,) for seq in seqs] + [_accumulated_sequences(s) for s in thinned_specs(rng)]
+    for group in groups:
+        certs = [convergence_certificate(s) for s in group]
+        if not all(isinstance(c, TailCertificate) for c in certs):
+            continue
+        k = _settled_depth(group, certs)
+        limit = math.ulp(float(orbit_terms(group[0], 1)[1][0])) / 8.0
+        assert all(np.all(computed_gaps_from(s, k) < limit) for s in group)
 
 
 @pytest.mark.parametrize("kind", ["Elliptic", "Hyperbolic", "Parabolic", "Identity"])
