@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BranchError, DegreeError, DomainError, GridMismatch
-from .moebius import DiscAutomorphism
+from .moebius import DiscAutomorphism, compose
 from .spec import IsometrySpec, _exponent
 
 __all__ = [
@@ -400,8 +400,6 @@ def composition_constant(
     constant; ``rho_numeric`` is the phase of its grid mean and ``spread``
     the maximal deviation of the samples from that mean.
     """
-    from .moebius import compose  # local import: moebius must not import hardy
-
     n = int(grid_size)
     if n < 16:
         raise DomainError("grid_size must be at least 16")

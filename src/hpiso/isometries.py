@@ -34,9 +34,7 @@ from .hardy import _circle, inner_product_values, weight_function
 from .moebius import (
     MAX_ZERO_MODULUS,
     DiscAutomorphism,
-    Kind,
     circle_points,
-    classify,
     compose,
     eval_auto,
     identity,
@@ -116,7 +114,8 @@ class InfiniteConstruction:
     beyond ``n_k``, and the thinning keeps the accumulated zero multiset
     summable below ``budget``.
 
-    Both kinds require a hyperbolic or parabolic ``phi`` (``WrongClass``).
+    Both kinds require a tail certificate for the orbit their zeros walk,
+    i.e. a hyperbolic or parabolic ``phi`` (``WrongClass``).
     """
 
     kind: str
@@ -127,10 +126,8 @@ class InfiniteConstruction:
     def __post_init__(self):
         if self.kind not in ("BackwardOrbitProduct", "ThinnedForwardProduct"):
             raise DomainError(f"unknown infinite construction kind: {self.kind!r}")
-        if classify(self.phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
-            raise WrongClass(
-                "infinite orbit products need a hyperbolic or parabolic symbol"
-            )
+        if not isinstance(convergence_certificate(self._zero_orbit()), TailCertificate):
+            raise WrongClass("infinite orbit products need a hyperbolic or parabolic symbol")
         idx = tuple(int(n) for n in self.indices)
         if self.kind == "ThinnedForwardProduct":
             if not idx:
@@ -147,18 +144,23 @@ class InfiniteConstruction:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "budget", float(self.budget))
 
+    def _zero_orbit(self) -> ZeroSequence:
+        """The orbit of the zeros of ``Psi``: ``phi_n(0)``, or ``phi_{-n}(0)``."""
+        if self.kind == "BackwardOrbitProduct":
+            return ZeroSequence.forward_orbit(self.phi)
+        return ZeroSequence.orbit(normalized_factor(0.0), self.phi)
+
     def own_zeros(self, m: int) -> list:
         """The first ``m`` zeros of the inner factor ``Psi`` itself."""
         m = int(m)
         if m < 0:
             raise DomainError("zero count must be nonnegative")
         if self.kind == "BackwardOrbitProduct":
-            return ZeroSequence.forward_orbit(self.phi).terms_up_to(m)
+            return self._zero_orbit().terms_up_to(m)
         idx = self.indices
         if m > len(idx):
             idx, _ = _thinned_indices(self.phi, m, self.budget)
-        origin = ZeroSequence.orbit(normalized_factor(0.0), self.phi)  # term(n) = phi_{-n}(0)
-        return orbit_terms(origin, idx[:m])[0].tolist()
+        return orbit_terms(self._zero_orbit(), idx[:m])[0].tolist()
 
     def accumulated_sequences(self) -> tuple:
         """Orbit sequences generating the zero multiset over all powers.
@@ -171,10 +173,8 @@ class InfiniteConstruction:
         if self.kind == "BackwardOrbitProduct":
             recurring = normalized_factor(eval_auto(self.phi, 0.0))
             return (ZeroSequence.orbit(recurring, identity()),)
-        seqs = []
-        for a in self.own_zeros(len(self.indices)):
-            seqs.append(ZeroSequence.orbit(normalized_factor(a), self.phi))
-        return tuple(seqs)
+        zeros = self.own_zeros(len(self.indices))
+        return tuple(ZeroSequence.orbit(normalized_factor(a), self.phi) for a in zeros)
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,10 @@ def _accumulated_sequences(spec: IsometrySpec) -> tuple:
     else:
         seqs = tuple(ZeroSequence.orbit(fac, spec.phi) for fac in spec.psi_zeros)
     if not seqs:
-        raise ZeroCodimension("no inner zeros: there is no evidence sequence")
+        raise ZeroCodimension(
+            "the isometry is surjective; the range chain is constant and the "
+            "dichotomy does not apply"
+        )
     return seqs
 
 
@@ -255,9 +258,12 @@ def decide_crownover(
     The range of ``U^n`` is ``Psi_n H^p`` with
     ``Psi_n = prod_{j<n} Psi o phi_j``, so the intersection is ``{0}``
     exactly when the accumulated zero multiset ``union_j phi_{-j}(Z(Psi))``
-    fails the Blaschke condition.  Elliptic and identity symbols recycle
-    their zeros along compact orbits (certified divergence); hyperbolic and
-    parabolic symbols sweep them to the boundary summably (certified tail).
+    fails the Blaschke condition.  Its sequences share one step map, so the
+    first ``convergence_certificate`` decides: elliptic and identity symbols
+    recycle their zeros along compact orbits (``DivergenceCertificate``:
+    ``Crownover``), hyperbolic and parabolic symbols sweep them to the
+    boundary summably (tail certificate: ``NotCrownover``).  The reason names
+    the certificate: a construction, or the symbol class its chart read.
     The evidence reports ``n_evidence`` terms of that multiset, also written
     to ``evidence_csv`` (a path or text file) as ``write_csv_rows`` from 1.
     Without a CSV the walk stops after ``d K`` terms (``_settled_depth``:
@@ -266,78 +272,54 @@ def decide_crownover(
     the full walk; ``K`` is logarithmic for geometric (hyperbolic) tails.
     Codimension 0 raises ``ZeroCodimension`` - the chain is constant there.
     """
-    codim = codimension(spec)
-    if codim == 0:
-        raise ZeroCodimension(
-            "the isometry is surjective; the range chain is constant and the "
-            "dichotomy does not apply"
-        )
+    codim, con = codimension(spec), spec.infinite
     n_evidence = int(n_evidence)
     seqs = _accumulated_sequences(spec)
     certs = [convergence_certificate(s) for s in seqs]
-    walk = n_evidence
     if evidence_csv is None:
-        walk = min(walk, len(seqs) * _settled_depth(seqs, certs))
-    zeros, gaps = _interleaved(seqs, walk)
-    partial = float(np.cumsum(gaps)[-1])
-    if evidence_csv is not None:
-        write_csv_rows(evidence_csv, zeros, gaps, 1)
+        zeros, gaps = _interleaved(seqs, min(n_evidence, len(seqs) * _settled_depth(seqs, certs)))
+        partial = float(np.cumsum(gaps)[-1])
+    else:
+        zeros, gaps = _interleaved(seqs, n_evidence)
+        partial = write_csv_rows(evidence_csv, zeros, gaps, 1)
 
-    if spec.infinite is not None:
-        con = spec.infinite
-        if con.kind == "BackwardOrbitProduct":
-            delta = certs[0].delta
-            evidence = ConvergenceVerdict(
-                "NotBlaschke",
-                "Linear",
+    if isinstance(certs[0], DivergenceCertificate):
+        delta = min(c.delta for c in certs)
+        if con is None:
+            reason = "EllipticOrIdentitySymbol"
+            text = (
+                "the inner zeros recycle along compact orbits; every accumulated "
+                f"term satisfies 1 - |a| >= {delta:.6g}"
+            )
+        else:
+            reason = "ConstructedDivergent"
+            text = (
                 "each operator power contributes a fresh zero at phi(0), "
                 f"|phi(0)| = {1.0 - delta:.6g}; the accumulated multiset "
-                f"gains at least {delta:.6g} per power",
-                n_evidence,
-                partial,
-                certs[0],
+                f"gains at least {delta:.6g} per power"
             )
-            return CrownoverVerdict("Crownover", "ConstructedDivergent", math.inf, evidence)
-        merged = MergedTailCertificate(tuple(certs))
-        k_stored = len(con.indices)
-        total = merged.tail(0) + con.budget / 2.0**k_stored
         evidence = ConvergenceVerdict(
-            "Blaschke",
-            "Bounded",
-            f"certified double sum over all powers: {total:.6g} < budget "
-            f"{con.budget:.6g} (stored prefix of {k_stored} indices plus the "
-            f"geometric bound budget/2^{k_stored} for the rest of the rule)",
-            n_evidence,
-            partial,
-            merged,
+            "NotBlaschke", "Linear", text, n_evidence, partial, DivergenceCertificate(delta)
         )
-        return CrownoverVerdict("NotCrownover", "ConstructedConvergent", math.inf, evidence)
-
-    kind = classify(spec.phi).kind
-    if kind in (Kind.IDENTITY, Kind.ELLIPTIC):
-        delta = min(c.delta for c in certs)
-        evidence = ConvergenceVerdict(
-            "NotBlaschke",
-            "Linear",
-            "the inner zeros recycle along compact orbits; every accumulated "
-            f"term satisfies 1 - |a| >= {delta:.6g}",
-            n_evidence,
-            partial,
-            DivergenceCertificate(delta),
-        )
-        return CrownoverVerdict("Crownover", "EllipticOrIdentitySymbol", codim, evidence)
+        return CrownoverVerdict("Crownover", reason, codim, evidence)
 
     merged = MergedTailCertificate(tuple(certs))
-    evidence = ConvergenceVerdict(
-        "Blaschke",
-        "Bounded",
-        f"all {codim} backward orbits are certified Blaschke; accumulated "
-        f"sum over every power is at most {merged.tail(0):.6g}",
-        n_evidence,
-        partial,
-        merged,
-    )
-    reason = "HyperbolicSymbol" if kind is Kind.HYPERBOLIC else "ParabolicSymbol"
+    if con is None:
+        reason = "HyperbolicSymbol" if certs[0].kind == "geometric" else "ParabolicSymbol"
+        text = (
+            f"all {codim} backward orbits are certified Blaschke; accumulated "
+            f"sum over every power is at most {merged.tail(0):.6g}"
+        )
+    else:
+        reason = "ConstructedConvergent"
+        k_stored = len(con.indices)
+        total = merged.tail(0) + con.budget / 2.0**k_stored
+        text = (
+            f"certified double sum over all powers: {total:.6g} < budget "
+            f"{con.budget:.6g} (stored prefix of {k_stored} indices plus the "
+            f"geometric bound budget/2^{k_stored} for the rest of the rule)"
+        )
+    evidence = ConvergenceVerdict("Blaschke", "Bounded", text, n_evidence, partial, merged)
     return CrownoverVerdict("NotCrownover", reason, codim, evidence)
 
 
@@ -354,11 +336,6 @@ def construct_zero_intersection(phi: DiscAutomorphism) -> InfiniteConstruction:
     ``|Psi_N(phi(z))| = |z| |Psi_{N-1}(z)|``, which is what pushes a fresh
     zero at ``phi(0)`` into every power of the range.
     """
-    if classify(phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
-        raise WrongClass(
-            "the forward orbit converges to the boundary only for hyperbolic "
-            "or parabolic symbols"
-        )
     return InfiniteConstruction("BackwardOrbitProduct", phi)
 
 
@@ -399,8 +376,6 @@ def construct_nonzero_intersection(phi: DiscAutomorphism, count: int) -> Infinit
     count = int(count)
     if count < 1:
         raise DomainError("count must be at least 1")
-    if classify(phi).kind not in (Kind.HYPERBOLIC, Kind.PARABOLIC):
-        raise WrongClass("the thinned construction needs a hyperbolic or parabolic symbol")
     indices, budget = _thinned_indices(phi, count)
     return InfiniteConstruction("ThinnedForwardProduct", phi, indices, budget)
 
@@ -490,14 +465,14 @@ def invariant_subspace_check(
         raise DomainError("radius must lie in (0, 1)")
     phi = spec.phi
     psi_fac = spec.psi_zeros[0]
-    kind = classify(phi).kind
-    if kind is Kind.ELLIPTIC:
+    seq = ZeroSequence.orbit(psi_fac, phi)
+    cert = convergence_certificate(seq)
+    if isinstance(cert, DivergenceCertificate) and not phi.is_identity():
         raise NotCertified(
             "the backward orbit of an elliptic symbol stays in a compact set; "
             "the orbit product is not a Blaschke product"
         )
 
-    seq = ZeroSequence.orbit(psi_fac, phi)
     orbit = orbit_terms(seq, n_trunc + 1)[0]
     zeros, lams = orbit.tolist(), _phases(orbit)
 
@@ -532,11 +507,9 @@ def invariant_subspace_check(
     defect = float(np.max(np.abs(lhs - rhs)))
     defect_unc = float(np.max(np.abs(lhs - core)))
 
-    if kind is Kind.IDENTITY:
+    if phi.is_identity():
         tail = 0.0
     else:
-        cert = convergence_certificate(seq)
-        assert isinstance(cert, TailCertificate)
         r_max = max(radius, float(np.max(np.abs(w))))
         scale = float(np.max(np.abs(weight * g_w * b_n_z)))
         tail = scale * 2.0 * cert.tail(n_trunc) * (1.0 / (1.0 - r_max) + 1.0 / (1.0 - radius))

@@ -429,7 +429,8 @@ def classify(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Classification
     r1, r2 = _fixed_point_roots(phi)
 
     if kind is Kind.ELLIPTIC:
-        inner = min((r1, r2), key=abs)
+        # abs() raises OverflowError on the outer root of a subnormal ``a``
+        inner = min((r1, r2), key=lambda r: math.hypot(r.real, r.imag))
         if not abs(inner) < 1.0:
             raise AmbiguousClassification(
                 "trace test says elliptic but no fixed point lies inside the disc"

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -90,22 +89,12 @@ _TYPES = {
 }
 
 
-def _equal(one, two) -> bool:
-    """JSON equality as jsonschema's ``enum``/``const`` see it: ``true`` is
-    not ``1``, ``1.0`` is ``1``, and containers compare element-wise."""
-    if one is two:
-        return True
-    if isinstance(one, str) or isinstance(two, str):
-        return one == two
-    if isinstance(one, Sequence) and isinstance(two, Sequence):
-        return len(one) == len(two) and all(map(_equal, one, two))
-    if isinstance(one, Mapping) and isinstance(two, Mapping):
-        return len(one) == len(two) and all(
-            key in two and _equal(value, two[key]) for key, value in one.items()
-        )
-    if isinstance(one, bool) or isinstance(two, bool):
-        return False  # distinct objects, at least one a bool
-    return one == two
+def _member_check(values: tuple):
+    """``x in values`` for ``enum``/``const`` values that are all strings or
+    null, where JSON equality is Python's (elsewhere ``true`` is not ``1``)."""
+    if not all(v is None or isinstance(v, str) for v in values):
+        raise NotImplementedError(f"enum/const values {values!r}: only strings and null are supported")
+    return lambda x: x in values
 
 
 #: keywords ``_compile`` accepts below the root (which may add ``$schema``
@@ -135,9 +124,10 @@ def _compile(schema: dict):
 
     Covers exactly the keywords of the shipped schemas: ``$schema``,
     ``$ref`` into ``definitions``, ``type``, ``properties``, ``required``,
-    ``additionalProperties: false``, ``enum``, ``const``, ``minimum``,
-    ``oneOf``, ``items`` and ``maxItems``.  Any other keyword (or form) raises
-    ``NotImplementedError``, so a schema edit cannot silently weaken the check.
+    ``additionalProperties: false``, ``enum`` and ``const`` (of strings and
+    null), ``minimum``, ``oneOf``, ``items`` and ``maxItems``.  Any other
+    keyword (or form) raises ``NotImplementedError``, so a schema edit cannot
+    silently weaken the check.
     """
     definitions = schema.get("definitions", {})
     compiled = {}
@@ -172,11 +162,9 @@ def _compile(schema: dict):
             else:
                 checks.append(lambda x: any(test(x) for test in tests))
         if "enum" in sub:
-            values = tuple(sub["enum"])
-            checks.append(lambda x: any(_equal(value, x) for value in values))
+            checks.append(_member_check(tuple(sub["enum"])))
         if "const" in sub:
-            const = sub["const"]
-            checks.append(lambda x: _equal(const, x))
+            checks.append(_member_check((sub["const"],)))
         if "minimum" in sub:
             low = sub["minimum"]
             checks.append(lambda x: not _is_number(x) or not x < low)

@@ -36,7 +36,7 @@ from hpiso import (
 )
 from hpiso import serialize as ser
 
-from conftest import phi_parabolic_plus
+from conftest import NEAR_BAND_PINNED, phi_parabolic_plus
 
 PHI_I = '{"lambda":{"re":0,"im":1},"a":{"re":0.5,"im":0.5}}'
 PSI_HALF = '{"lambda":{"re":1,"im":0},"a":{"re":0.5,"im":0}}'
@@ -323,6 +323,12 @@ def test_exit_3_ambiguous_classification():
     code, out, err = run_cli("classify", "--phi", almost_id)
     assert code == 3 and out == ""
     assert_error_line(err, "AmbiguousClassification")
+    # inside the trace band but certified: crownover answers from the orbit
+    # certificate (it used to exit 1 with a traceback)
+    band = IsometrySpec(3.0, 1.0, (normalized_factor(0.3),), NEAR_BAND_PINNED[0])
+    code, out, err = run_cli("crownover", "--spec", spec_json(band))
+    assert code == 0 and err == ""
+    ser.validate("crownover_verdict", json.loads(out))
 
 
 def test_exit_4_domain_error():

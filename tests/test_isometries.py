@@ -21,6 +21,7 @@ from hpiso import (
     DomainError,
     EquivWitness,
     HpContext,
+    HpisoError,
     IdentityAmbiguity,
     InfiniteConstruction,
     IsometrySpec,
@@ -57,6 +58,7 @@ from hpiso import (
 from hpiso.hardy import BoundaryFunction
 
 from conftest import (
+    NEAR_BAND_PINNED,
     interior_point,
     phi_parabolic_plus,
     random_by_kind,
@@ -178,6 +180,69 @@ def test_crownover_conjugation_invariant(rng):
         spec2 = conjugated_spec(spec, random_conjugator(rng), unimodular(rng))
         v2 = decide_crownover(spec2)
         assert v1.verdict == v2.verdict and v1.reason == v2.reason
+
+
+def near_band_symbols(rng, count):
+    """Hyperbolic, elliptic and both kinds of parabolic maps with parameter
+    ``s`` between 1e-9 and 1e-1, conjugated by zeros 1e-2 to 1e-6 from the
+    circle; draws whose conjugate passes the 1e-14 cap are skipped."""
+    models = (
+        standard_hyperbolic,
+        lambda s: rotation(cmath.exp(1j * s)),
+        lambda s: parabolic_fixing_one(cmath.exp(1j * s)),
+        lambda s: parabolic_fixing_one(-cmath.exp(1j * s)),
+    )
+    for i in range(count):
+        s = 10.0 ** -rng.uniform(1.0, 9.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        eta = disc_translation((1.0 - 10.0 ** -rng.uniform(2.0, 6.0)) * unimodular(rng))
+        try:
+            yield compose(eta, compose(models[i % 4](s), inverse(eta)))
+        except HpisoError:
+            continue
+
+
+def certified_reason(cert, constructed: bool) -> str:
+    if isinstance(cert, DivergenceCertificate):
+        return "ConstructedDivergent" if constructed else "EllipticOrIdentitySymbol"
+    if constructed:
+        return "ConstructedConvergent"
+    (kind,) = {part.kind for part in cert.parts}
+    return "HyperbolicSymbol" if kind == "geometric" else "ParabolicSymbol"
+
+
+def test_near_band_symbols_answer_by_their_certificate(rng):
+    # classify(phi) and the certificate's chart of phi^-1 can disagree in the
+    # band; every answer must follow the certificate, and nothing outside
+    # HpisoError may escape
+    ctx, g = HpContext(3.0, 64), lambda w: np.ones_like(w)
+    symbols = [*NEAR_BAND_PINNED, *near_band_symbols(rng, 400)]
+    answered = 0
+    for i, phi in enumerate(symbols):
+        zeros = tuple(normalized_factor(interior_point(rng, 0.9)) for _ in range(2))
+        specs = [IsometrySpec(3.0, 1.0, zeros[:d], phi) for d in (1, 2)]
+        for build in (construct_zero_intersection, lambda f: construct_nonzero_intersection(f, 3)):
+            try:
+                specs.append(IsometrySpec(3.0, 1.0, (), phi, infinite=build(phi)))
+            except HpisoError:
+                pass
+        for spec in specs:
+            try:
+                v = decide_crownover(spec, 64)
+            except HpisoError:
+                assert i >= len(NEAR_BAND_PINNED) or spec.infinite is not None
+                continue
+            answered += 1
+            cert = v.evidence.certificate
+            assert v.verdict == ("Crownover" if isinstance(cert, DivergenceCertificate) else "NotCrownover")
+            assert v.reason == certified_reason(cert, spec.infinite is not None)
+        try:
+            invariant_subspace_check(specs[0], g, ctx, n_trunc=8)
+        except NotCertified:
+            cert = convergence_certificate(ZeroSequence.orbit(zeros[0], phi))
+            assert isinstance(cert, DivergenceCertificate)
+        except HpisoError:
+            pass
+    assert answered >= len(symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,20 @@ def test_ambiguous_rotation_raises():
         classify(rotation(1.0j), tol=1.0)  # tolerance outside the legal range
 
 
+def test_elliptic_with_a_subnormal_zero():
+    # the outer fixed point has finite parts past the float range of abs();
+    # classify used to raise OverflowError on the conjugate
+    phi = DiscAutomorphism(cmath.exp(1j), -1.61464907171845e-309 + 1.394558120785125e-309j)
+    eta = DiscAutomorphism(cmath.exp(2.5j), -4.69036222796557e-310 - 2.175076710720077e-309j)
+    psi = compose(eta, compose(phi, inverse(eta)))
+    assert classify(psi).kind is Kind.ELLIPTIC
+    found = find_conjugator(phi, psi)
+    assert pointwise_distance(compose(psi, found), compose(found, phi)) <= 1e-10
+    # outer roots of inf parts, which abs() does take
+    for a in (-5e-324 - 5e-324j, 1.02286132202884e-309 - 1.87233509098836e-309j):
+        assert classify(DiscAutomorphism(cmath.exp(1j), a)).kind is Kind.ELLIPTIC
+
+
 # ---------------------------------------------------------------------------
 # canonical forms and conjugacy
 

@@ -424,15 +424,16 @@ def test_predicate_agrees_on_valid_instances_and_mutations(name, data, fixed):
 
 
 def test_predicate_agrees_on_edge_values():
-    # JSON equality of enum/const (true is not 1, 1.0 is 1), integer-valued
-    # floats, signed zero and non-finite numbers against minimum, null in oneOf
+    # string/null enum and const against booleans, numbers and containers,
+    # integer-valued floats, signed zero and non-finite numbers against
+    # minimum, null in oneOf
     schema = {
         "$schema": ser.DRAFT_07,
         "type": "object",
         "properties": {
-            "e": {"enum": [1, "a", None, [1, 2], {"k": 1}]},
-            "c": {"const": 1},
-            "f": {"const": False},
+            "e": {"enum": ["a", None, "b"]},
+            "c": {"const": "a"},
+            "z": {"const": None},
             "i": {"type": "integer", "minimum": 0},
             "n": {"type": "number", "minimum": 0},
             "o": {"oneOf": [{"type": "null"}, {"type": "number"}, {"type": "integer"}]},
@@ -442,7 +443,8 @@ def test_predicate_agrees_on_edge_values():
     predicate = ser._compile(schema)
     validator = jsonschema.Draft7Validator(schema)
     values = [True, False, 1, 1.0, 0, 0.0, -0.0, 1.5, -1, math.nan, math.inf, -math.inf,
-              None, "a", [1, 2], [True, 2], [1.0, 2], {"k": True}, {"k": 1.0}, [], ["s"], ["s", "t"]]
+              None, "a", "b", "", [1, 2], [True, 2], [1.0, 2], {"k": True}, {"k": 1.0}, [], ["s"],
+              ["s", "t"], ["a"], [None]]
     for key in schema["properties"]:
         for value in values:
             assert predicate({key: value}) == validator.is_valid({key: value}), (key, value)
@@ -459,6 +461,13 @@ def test_unknown_schema_keyword_does_not_compile():
         {**base, "definitions": {"y": {}}, "properties": {"x": {"$ref": "#/definitions/y", "type": "object"}}},
         {**base, "properties": {"x": {"type": "decimal"}}},
         {**base, "items": True},
+        # numbers, booleans and containers in enum/const: JSON equality there
+        # is not Python's (true is not 1, 1.0 is 1)
+        {**base, "properties": {"e": {"enum": [1, "a", None, [1, 2], {"k": 1}]}}},
+        {**base, "properties": {"e": {"enum": ["a", 1.5]}}},
+        {**base, "properties": {"c": {"const": 1}}},
+        {**base, "properties": {"f": {"const": False}}},
+        {**base, "definitions": {"unused": {"const": ["a"]}}},
         {"type": "object"},  # no $schema: jsonschema would pick the latest draft
     ):
         with pytest.raises(NotImplementedError):
