@@ -77,6 +77,7 @@ def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] 
         budget = math.fsum(orbit_terms(base, 64)[1].tolist()) + cert.tail(64)
     indices = []
     n = 2
+    cap_tail = cert.tail(MAX_THINNING_INDEX - 1)
     for k in range(1, count + 1):
         target = math.ldexp(budget, -k)  # 2.0**k overflows once k >= 1024
         if target == 0.0:
@@ -86,7 +87,7 @@ def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] 
             )
         if cert.tail(n - 1) >= target:
             # the next index is the first n with tail(n - 1) < target
-            if cert.tail(MAX_THINNING_INDEX - 1) >= target:
+            if cap_tail >= target:
                 raise NotCertified(
                     "greedy thinning passed index 10^6 before meeting its "
                     "target; the indices grow geometrically, so request fewer "

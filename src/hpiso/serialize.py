@@ -14,11 +14,14 @@ construction.json (a test checks this).
 
 Validation runs a predicate compiled once per shipped schema from the
 draft-07 keywords those schemas use (``_compile``; any other keyword is
-refused at compile time).  jsonschema stays the authority: it is imported
-only when the predicate rejects an object, and ``jsonschema.validate`` then
-raises the error.  The blaschke, hardy and isometries modules (and with them
-numpy) are imported by the functions that need them, so automorphism,
-classification and finite spec round trips load neither numpy nor jsonschema.
+refused at compile time): one closure per schema node, whose type tests
+try the exact type before jsonschema's ``isinstance``/ABC test, so it
+equals ``Draft7Validator.is_valid`` on every Python value, JSON or not.
+jsonschema stays the authority: it is imported only when the predicate
+rejects an object, and ``jsonschema.validate`` then raises the error.  The
+blaschke, hardy and isometries modules (and with them numpy) are imported
+by the functions that need them, so automorphism, classification and
+finite spec round trips load neither numpy nor jsonschema.
 """
 
 from __future__ import annotations
@@ -67,70 +70,118 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _is_number(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, numbers.Number)
-
-
-def _is_integer(x) -> bool:
-    # draft 6 and later: a float with an integral value is an integer
-    return not isinstance(x, bool) and (
-        isinstance(x, int) or (isinstance(x, float) and x.is_integer())
-    )
-
-
+#: per ``type``: the exact Python types that pass (the fast path), then
+#: jsonschema's draft-07 test for all others (integral floats are integers)
 _TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "null": lambda x: x is None,
-    "boolean": lambda x: isinstance(x, bool),
-    "number": _is_number,
-    "integer": _is_integer,
+    "object": ((dict,), lambda x: isinstance(x, dict)),
+    "array": ((list,), lambda x: isinstance(x, list)),
+    "string": ((str,), lambda x: isinstance(x, str)),
+    "null": ((type(None),), lambda x: x is None),
+    "boolean": ((bool,), lambda x: isinstance(x, bool)),
+    "number": ((float, int), lambda x: not isinstance(x, bool) and isinstance(x, numbers.Number)),
+    "integer": ((int,), lambda x: not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer())),
 }
 
 
-def _member_check(values: tuple):
+def _type_test(names):
+    exact = tuple(t for name in names for t in _TYPES[name][0])
+    tests = tuple(_TYPES[name][1] for name in names)
+    return exact, tests[0] if len(tests) == 1 else (lambda x: any(test(x) for test in tests))
+
+
+def _type_check(names):
+    exact, full = _type_test(names)
+    return lambda x: type(x) in exact or full(x)
+
+
+def _member_check(sub, node, mine, other):
     """``x in values`` for ``enum``/``const`` values that are all strings or
     null, where JSON equality is Python's (elsewhere ``true`` is not ``1``)."""
+    values = tuple(sub["enum"]) if "enum" in sub else (sub["const"],)
     if not all(v is None or isinstance(v, str) for v in values):
         raise NotImplementedError(f"enum/const values {values!r}: only strings and null are supported")
     return lambda x: x in values
 
 
-#: keywords ``_compile`` accepts below the root (which may add ``$schema``
-#: and ``definitions``)
-_KEYWORDS = frozenset(
-    {"$ref", "type", "properties", "required", "additionalProperties",
-     "enum", "const", "minimum", "oneOf", "items", "maxItems"}
-)
-
-
-def _all(checks):
-    if len(checks) == 1:
-        return checks[0]
+def _object_check(sub, node, mine, other):
+    props = tuple((key, node(s)) for key, s in sub.get("properties", {}).items())
+    known = frozenset(key for key, _ in props)
+    needed = frozenset(sub.get("required", ()))
+    if sub.get("additionalProperties", False) is not False:
+        raise NotImplementedError("additionalProperties other than false is not supported")
+    closed = "additionalProperties" in sub
 
     def check(x):
-        for one in checks:
-            if not one(x):
+        if type(x) is not dict and not isinstance(x, dict):
+            return other(x)
+        keys = x.keys()
+        if closed and not keys <= known or not keys >= needed:
+            return False
+        for key, test in props:
+            if key in x and not test(x[key]):
                 return False
         return True
 
     return check
 
 
+def _array_check(sub, node, mine, other):
+    item = node(sub["items"]) if "items" in sub else (lambda x: True)
+    longest = sub.get("maxItems", math.inf)
+
+    def check(x):
+        if type(x) is not list and not isinstance(x, list):
+            return other(x)
+        return len(x) <= longest and all(map(item, x))
+
+    return check
+
+
+def _minimum_check(sub, node, mine, other):
+    (exact, full), low = _type_test(mine or ["number"]), sub["minimum"]
+    return lambda x: not x < low if type(x) in exact or full(x) else other(x)
+
+
+def _one_of_check(sub, node, mine, other):
+    branches = tuple(map(node, sub["oneOf"]))
+    if len(branches) == 2:  # exactly one of two holds when their verdicts differ
+        first, second = branches
+        return lambda x: first(x) != second(x)
+    return lambda x: sum(branch(x) for branch in branches) == 1
+
+
+#: keyword kinds: the keywords, the types they apply to, and the builder,
+#: which gets the node's ``type`` names of those types (``mine``) and the
+#: verdict on values of other types (``other``)
+_KINDS = (
+    ({"properties", "required", "additionalProperties"}, ("object",), _object_check),
+    ({"items", "maxItems"}, ("array",), _array_check),
+    ({"minimum"}, ("number", "integer"), _minimum_check),
+    ({"enum"}, (), _member_check),
+    ({"const"}, (), _member_check),
+    ({"oneOf"}, (), _one_of_check),
+)
+
+
 def _compile(schema: dict):
     """Validity predicate of a draft-07 ``schema``, equal to
-    ``jsonschema.Draft7Validator(schema).is_valid`` on JSON values.
+    ``jsonschema.Draft7Validator(schema).is_valid`` on every Python value.
 
     Covers exactly the keywords of the shipped schemas: ``$schema``,
     ``$ref`` into ``definitions``, ``type``, ``properties``, ``required``,
     ``additionalProperties: false``, ``enum`` and ``const`` (of strings and
-    null), ``minimum``, ``oneOf``, ``items`` and ``maxItems``.  Any other
-    keyword (or form) raises ``NotImplementedError``, so a schema edit cannot
-    silently weaken the check.
+    null), ``minimum``, ``oneOf``, ``items`` and ``maxItems``, at most one
+    kind of ``_KINDS`` per node, beside a ``type`` that kind applies to.  Any
+    other keyword, mix or form raises ``NotImplementedError``, so a schema
+    edit cannot silently weaken the check.  Each node is one closure that
+    tests its own ``type`` too (a typed object: type, closed key set,
+    required keys and properties in one call), exact type first (``type(x)
+    in (float, int)``), then the ``isinstance``/ABC test of ``_TYPES``.
     """
     definitions = schema.get("definitions", {})
     compiled = {}
+    keywords = {"$ref", "type"}.union(*(words for words, _, _ in _KINDS))  # below the root
 
     def ref(pointer):
         name = pointer.removeprefix("#/definitions/")
@@ -140,82 +191,31 @@ def _compile(schema: dict):
             compiled[name] = node(definitions[name])
         return compiled[name]
 
-    def node(sub, root=False):
+    def node(sub):
         if not isinstance(sub, dict):
             raise NotImplementedError(f"schema {sub!r}: boolean schemas are not supported")
-        unknown = sorted(set(sub) - _KEYWORDS - ({"$schema", "definitions"} if root else set()))
-        if unknown:
-            raise NotImplementedError(f"schema keyword(s) {unknown} not supported")
+        names = [sub["type"]] if isinstance(sub.get("type"), str) else sub.get("type", [])
+        unknown = sorted(set(sub) - keywords) + sorted(set(names) - set(_TYPES))
+        if unknown or sub.get("type") == []:  # an empty type list: a schema nothing meets
+            raise NotImplementedError(f"schema keyword(s) or type(s) {unknown} not supported")
         if "$ref" in sub:
             if len(sub) > 1:
                 raise NotImplementedError("$ref with sibling keywords (draft 7 ignores them)")
             return ref(sub["$ref"])
-        checks = []
-        if "type" in sub:
-            names = [sub["type"]] if isinstance(sub["type"], str) else sub["type"]
-            unknown = sorted(set(names) - set(_TYPES))
-            if unknown:
-                raise NotImplementedError(f"type(s) {unknown} not supported")
-            tests = tuple(_TYPES[t] for t in names)
-            if len(tests) == 1:
-                checks.append(tests[0])
-            else:
-                checks.append(lambda x: any(test(x) for test in tests))
-        if "enum" in sub:
-            checks.append(_member_check(tuple(sub["enum"])))
-        if "const" in sub:
-            checks.append(_member_check((sub["const"],)))
-        if "minimum" in sub:
-            low = sub["minimum"]
-            checks.append(lambda x: not _is_number(x) or not x < low)
-        if "oneOf" in sub:
-            branches = tuple(node(s) for s in sub["oneOf"])
-            checks.append(lambda x: sum(1 for b in branches if b(x)) == 1)
-        if {"properties", "required", "additionalProperties"} & set(sub):
-            checks.append(_object_check(sub, node))
-        if {"items", "maxItems"} & set(sub):
-            checks.append(_array_check(sub, node))
-        return _all(checks) if checks else (lambda x: True)
+        kinds = [(own, build) for words, own, build in _KINDS if words & sub.keys()]
+        if not kinds:
+            return _type_check(names) if names else (lambda x: True)
+        if len(kinds) > 1 or names and not set(names) & set(kinds[0][0]):
+            raise NotImplementedError(f"keywords {sorted(sub)}: one kind per node, and its type")
+        own, build = kinds[0]
+        mine, rest = [t for t in names if t in own], [t for t in names if t not in own]
+        return build(sub, node, mine, _type_check(rest) if rest else lambda x: not names)
 
     if schema.get("$schema") != DRAFT_07:
         raise NotImplementedError(f"$schema {schema.get('$schema')!r}: only draft-07 is supported")
     for name in definitions:
         ref(f"#/definitions/{name}")  # every definition is checked, used or not
-    return node(schema, root=True)
-
-
-def _object_check(sub, node):
-    props = tuple((key, node(s)) for key, s in sub.get("properties", {}).items())
-    known = frozenset(key for key, _ in props)
-    required = tuple(sub.get("required", ()))
-    if sub.get("additionalProperties", False) is not False:
-        raise NotImplementedError("additionalProperties other than false is not supported")
-    closed = "additionalProperties" in sub
-
-    def check(x):
-        if not isinstance(x, dict):
-            return True
-        if closed and not x.keys() <= known:
-            return False
-        for key in required:
-            if key not in x:
-                return False
-        for key, test in props:
-            if key in x and not test(x[key]):
-                return False
-        return True
-
-    return check
-
-
-def _array_check(sub, node):
-    item = node(sub["items"]) if "items" in sub else (lambda x: True)
-    longest = sub.get("maxItems", math.inf)
-
-    def check(x):
-        return not isinstance(x, list) or (len(x) <= longest and all(map(item, x)))
-
-    return check
+    return node({key: s for key, s in schema.items() if key not in ("$schema", "definitions")})
 
 
 @lru_cache(maxsize=None)

@@ -14,10 +14,15 @@ import copy
 import io
 import json
 import math
+from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -450,6 +455,70 @@ def test_predicate_agrees_on_edge_values():
             assert predicate({key: value}) == validator.is_valid({key: value}), (key, value)
 
 
+class _Level(IntEnum):
+    LOW = -1
+    ZERO = 0
+    HIGH = 2
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def test_predicate_agrees_on_non_json_values():
+    # values whose exact type is not the JSON one they stand for (or that an
+    # exact-type test could wrongly take for one): bool, IntEnum, numpy and
+    # exact-arithmetic scalars, float/str/dict/list subclasses and tuples
+    schema = {
+        "$schema": ser.DRAFT_07,
+        "type": "object",
+        "definitions": {"pt": {"type": "object", "properties": {"k": {"type": "number"}},
+                               "required": ["k"], "additionalProperties": False}},
+        "properties": {
+            "n": {"type": "number"},
+            "i": {"type": "integer"},
+            "m": {"minimum": 0},
+            "nm": {"type": "number", "minimum": 0},
+            "im": {"type": "integer", "minimum": 1},
+            "o": {"$ref": "#/definitions/pt"},
+            "on": {"type": ["object", "null"], "properties": {"k": {"type": "integer"}}},
+            "a": {"type": "array", "items": {"type": "number"}, "maxItems": 2},
+            "e": {"enum": ["a", None]},
+            "x": {"oneOf": [{"type": "number"}, {"type": "integer"}]},
+            "xn": {"oneOf": [{"$ref": "#/definitions/pt"}, {"type": "null"}]},
+        },
+    }
+    predicate = ser._compile(schema)
+    validator = jsonschema.Draft7Validator(schema)
+    values = [
+        True, False, _Level.LOW, _Level.ZERO, _Level.HIGH,
+        np.float64(2.0), np.float64(-0.5), np.int64(3), np.int64(-3), np.bool_(True),
+        Decimal("1.5"), Decimal("-1"), Decimal("2"), Fraction(1, 2), Fraction(-1, 2), Fraction(4, 2),
+        _Float(2.0), _Float(-1.5), _Str("a"), _Str("b"),
+        _Dict(k=1.0), _Dict(k="s"), _Dict(k=1.0, j=2), _Dict(), OrderedDict(k=2), OrderedDict(k=True),
+        {"k": np.float64(1.5)}, {"k": np.int64(2)}, {"k": Decimal("3")},
+        1.5, -2.0, _List([1.0, 2]), _List([1.0, 2, 3]), _List([True]), (1.0, 2), (),
+        [np.float64(1.0)], [Fraction(1, 3)],
+    ]
+    for key in schema["properties"]:
+        for value in values:
+            assert predicate({key: value}) == validator.is_valid({key: value}), (key, value)
+    for root in (_Dict(n=1.0), _Dict(n="s"), OrderedDict(i=2), OrderedDict(q=1), (("n", 1),), []):
+        assert predicate(root) == validator.is_valid(root), root
+
+
 def test_unknown_schema_keyword_does_not_compile():
     base = {"$schema": ser.DRAFT_07, "type": "object"}
     for bad in (
@@ -460,6 +529,7 @@ def test_unknown_schema_keyword_does_not_compile():
         {**base, "properties": {"x": {"$ref": "#/definitions/y"}}},
         {**base, "definitions": {"y": {}}, "properties": {"x": {"$ref": "#/definitions/y", "type": "object"}}},
         {**base, "properties": {"x": {"type": "decimal"}}},
+        {**base, "properties": {"x": {"type": []}}},
         {**base, "items": True},
         # numbers, booleans and containers in enum/const: JSON equality there
         # is not Python's (true is not 1, 1.0 is 1)
@@ -469,6 +539,12 @@ def test_unknown_schema_keyword_does_not_compile():
         {**base, "properties": {"f": {"const": False}}},
         {**base, "definitions": {"unused": {"const": ["a"]}}},
         {"type": "object"},  # no $schema: jsonschema would pick the latest draft
+        # one kind of keyword per node, beside a type it applies to
+        {**base, "properties": {"x": {"type": "string", "enum": ["a"]}}},
+        {**base, "properties": {"x": {"type": "string", "minimum": 0}}},
+        {**base, "properties": {"x": {"minimum": 0, "maxItems": 1}}},
+        {**base, "properties": {"x": {"enum": ["a"], "const": "a"}}},
+        {**base, "minimum": 0},
     ):
         with pytest.raises(NotImplementedError):
             ser._compile(bad)
