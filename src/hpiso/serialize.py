@@ -95,16 +95,19 @@ def _type_check(names):
     return lambda x: type(x) in exact or full(x)
 
 
-def _member_check(sub, node, mine, other):
+def _member_check(values: tuple):
     """``x in values`` for ``enum``/``const`` values that are all strings or
     null, where JSON equality is Python's (elsewhere ``true`` is not ``1``)."""
-    values = tuple(sub["enum"]) if "enum" in sub else (sub["const"],)
     if not all(v is None or isinstance(v, str) for v in values):
         raise NotImplementedError(f"enum/const values {values!r}: only strings and null are supported")
     return lambda x: x in values
 
 
-def _object_check(sub, node, mine, other):
+def _type_names(sub):  # a node's ``type`` as a list; None when it has none
+    return [sub["type"]] if isinstance(sub.get("type"), str) else sub.get("type")
+
+
+def _object_check(sub, node, other):
     props = tuple((key, node(s)) for key, s in sub.get("properties", {}).items())
     known = frozenset(key for key, _ in props)
     needed = frozenset(sub.get("required", ()))
@@ -126,7 +129,7 @@ def _object_check(sub, node, mine, other):
     return check
 
 
-def _array_check(sub, node, mine, other):
+def _array_check(sub, node, other):
     item = node(sub["items"]) if "items" in sub else (lambda x: True)
     longest = sub.get("maxItems", math.inf)
 
@@ -138,29 +141,17 @@ def _array_check(sub, node, mine, other):
     return check
 
 
-def _minimum_check(sub, node, mine, other):
-    (exact, full), low = _type_test(mine or ["number"]), sub["minimum"]
+def _minimum_check(sub, node, other):
+    mine = [t for t in _type_names(sub) or ["number"] if t in ("number", "integer")]
+    (exact, full), low = _type_test(mine), sub["minimum"]
     return lambda x: not x < low if type(x) in exact or full(x) else other(x)
 
 
-def _one_of_check(sub, node, mine, other):
-    branches = tuple(map(node, sub["oneOf"]))
-    if len(branches) == 2:  # exactly one of two holds when their verdicts differ
-        first, second = branches
-        return lambda x: first(x) != second(x)
-    return lambda x: sum(branch(x) for branch in branches) == 1
-
-
-#: keyword kinds: the keywords, the types they apply to, and the builder,
-#: which gets the node's ``type`` names of those types (``mine``) and the
-#: verdict on values of other types (``other``)
+#: keywords, the types they apply to, and builder(sub, node, verdict on other types)
 _KINDS = (
-    ({"properties", "required", "additionalProperties"}, ("object",), _object_check),
-    ({"items", "maxItems"}, ("array",), _array_check),
-    ({"minimum"}, ("number", "integer"), _minimum_check),
-    ({"enum"}, (), _member_check),
-    ({"const"}, (), _member_check),
-    ({"oneOf"}, (), _one_of_check),
+    ({"properties", "required", "additionalProperties"}, {"object"}, _object_check),
+    ({"items", "maxItems"}, {"array"}, _array_check),
+    ({"minimum"}, {"number", "integer"}, _minimum_check),
 )
 
 
@@ -171,8 +162,9 @@ def _compile(schema: dict):
     Covers exactly the keywords of the shipped schemas: ``$schema``,
     ``$ref`` into ``definitions``, ``type``, ``properties``, ``required``,
     ``additionalProperties: false``, ``enum`` and ``const`` (of strings and
-    null), ``minimum``, ``oneOf``, ``items`` and ``maxItems``, at most one
-    kind of ``_KINDS`` per node, beside a ``type`` that kind applies to.  Any
+    null), ``minimum``, ``oneOf``, ``items`` and ``maxItems``.  ``$ref``,
+    ``enum``, ``const`` and ``oneOf`` stand alone on a node; other keywords
+    are of one ``_KINDS`` row, beside a ``type`` that row applies to.  Any
     other keyword, mix or form raises ``NotImplementedError``, so a schema
     edit cannot silently weaken the check.  Each node is one closure that
     tests its own ``type`` too (a typed object: type, closed key set,
@@ -181,7 +173,7 @@ def _compile(schema: dict):
     """
     definitions = schema.get("definitions", {})
     compiled = {}
-    keywords = {"$ref", "type"}.union(*(words for words, _, _ in _KINDS))  # below the root
+    keywords = {"$ref", "type", "enum", "const", "oneOf"}.union(*(words for words, _, _ in _KINDS))
 
     def ref(pointer):
         name = pointer.removeprefix("#/definitions/")
@@ -194,22 +186,30 @@ def _compile(schema: dict):
     def node(sub):
         if not isinstance(sub, dict):
             raise NotImplementedError(f"schema {sub!r}: boolean schemas are not supported")
-        names = [sub["type"]] if isinstance(sub.get("type"), str) else sub.get("type", [])
-        unknown = sorted(set(sub) - keywords) + sorted(set(names) - set(_TYPES))
-        if unknown or sub.get("type") == []:  # an empty type list: a schema nothing meets
+        names = _type_names(sub)
+        unknown = sorted(set(sub) - keywords) + sorted(set(names or ()) - set(_TYPES))
+        if unknown:
             raise NotImplementedError(f"schema keyword(s) or type(s) {unknown} not supported")
-        if "$ref" in sub:
+        if {"$ref", "enum", "const", "oneOf"} & sub.keys():
             if len(sub) > 1:
-                raise NotImplementedError("$ref with sibling keywords (draft 7 ignores them)")
-            return ref(sub["$ref"])
+                raise NotImplementedError(f"keywords {sorted(sub)}: $ref, enum, const and oneOf stand alone")
+            if "$ref" in sub:
+                return ref(sub["$ref"])
+            if "oneOf" in sub:
+                branches = tuple(map(node, sub["oneOf"]))
+                if len(branches) == 2:  # spares a generator per call (CHANGES.md)
+                    first, second = branches
+                    return lambda x: first(x) != second(x)
+                return lambda x: sum(branch(x) for branch in branches) == 1
+            return _member_check(tuple(sub["enum"]) if "enum" in sub else (sub["const"],))
         kinds = [(own, build) for words, own, build in _KINDS if words & sub.keys()]
         if not kinds:
-            return _type_check(names) if names else (lambda x: True)
-        if len(kinds) > 1 or names and not set(names) & set(kinds[0][0]):
-            raise NotImplementedError(f"keywords {sorted(sub)}: one kind per node, and its type")
+            return (lambda x: True) if names is None else _type_check(names)
         own, build = kinds[0]
-        mine, rest = [t for t in names if t in own], [t for t in names if t not in own]
-        return build(sub, node, mine, _type_check(rest) if rest else lambda x: not names)
+        if len(kinds) > 1 or names is not None and not own & set(names):
+            raise NotImplementedError(f"keywords {sorted(sub)}: one kind per node, and its type")
+        rest = [t for t in names or () if t not in own]  # values of these pass untested
+        return build(sub, node, _type_check(rest) if rest else lambda x: names is None)
 
     if schema.get("$schema") != DRAFT_07:
         raise NotImplementedError(f"$schema {schema.get('$schema')!r}: only draft-07 is supported")
