@@ -511,7 +511,7 @@ def test_predicate_agrees_on_non_json_values():
         _Dict(k=1.0), _Dict(k="s"), _Dict(k=1.0, j=2), _Dict(), OrderedDict(k=2), OrderedDict(k=True),
         {"k": np.float64(1.5)}, {"k": np.int64(2)}, {"k": Decimal("3")},
         1.5, -2.0, _List([1.0, 2]), _List([1.0, 2, 3]), _List([True]), (1.0, 2), (),
-        [np.float64(1.0)], [Fraction(1, 3)],
+        [np.float64(1.0)], [Fraction(1, 3)], None, "a", 3, {"k": 1},
     ]
     for key in schema["properties"]:
         for value in values:
