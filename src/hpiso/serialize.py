@@ -208,7 +208,7 @@ def _compile(schema: dict):
         own, build = kinds[0]
         if len(kinds) > 1 or names is not None and not own & set(names):
             raise NotImplementedError(f"keywords {sorted(sub)}: one kind per node, and its type")
-        rest = [t for t in names or () if t not in own]  # values of these pass untested
+        rest = [t for t in names or () if t not in own]  # types the keywords do not apply to
         return build(sub, node, _type_check(rest) if rest else lambda x: names is None)
 
     if schema.get("$schema") != DRAFT_07:
