@@ -18,7 +18,6 @@ import cmath
 
 from hpiso import (
     DiscAutomorphism,
-    canonical_pair,
     classify,
     compose,
     disc_translation,
@@ -27,6 +26,7 @@ from hpiso import (
     identity,
     inverse,
     iterate,
+    model_chart,
     parabolic_fixing_one,
     pointwise_distance,
     rotation,
@@ -112,10 +112,15 @@ for name, f in [("identity", identity()),
 # ---------------------------------------------------------------------------
 section("Conjugacy: canonical forms and explicit conjugators")
 
-pair = canonical_pair(tra)
-print(f"translation kind          = {classify(tra).kind.value}")
-print(f"canonical representative  = kappa with a = {pair.kappa.a:.6f}")
-reassembled = compose(pair.eta, compose(pair.kappa, inverse(pair.eta)))
+# The model chart's action is the class invariant.  For a hyperbolic map it
+# is the attracting multiplier s, and the canonical form is kappa(z) =
+# (z - r)/(1 - r z) with r = (1 - s)/(1 + s), attracting fixed point -1.
+chart = model_chart(tra)
+kappa = standard_hyperbolic((1.0 - chart.action) / (1.0 + chart.action))
+eta = find_conjugator(kappa, tra)
+print(f"translation kind          = {chart.kind.value}")
+print(f"canonical representative  = kappa with a = {kappa.a:.6f}")
+reassembled = compose(eta, compose(kappa, inverse(eta)))
 print(f"|eta o kappa o eta^-1 - phi| = {pointwise_distance(reassembled, tra):.2e}")
 
 # Two hyperbolic maps are conjugate iff their multipliers agree; the witness

@@ -43,8 +43,7 @@ _LAZY = {
         "InfiniteConstruction", "CrownoverVerdict", "InvariantSubspaceReport",
         "codimension", "decide_crownover", "evidence_rows",
         "construct_zero_intersection", "construct_nonzero_intersection",
-        "zero_intersection_shift_defect", "truncate_spec", "conjugated_spec",
-        "invariant_subspace_check",
+        "truncate_spec", "conjugated_spec", "invariant_subspace_check",
     ),
     "equivalence": ("EquivWitness", "decide_equivalent"),
 }

@@ -13,8 +13,8 @@ tail or divergence bounds (finitely many explicit terms certify neither), and
 evaluates partial products with a rigorous truncation error.
 
 All tail certificates bound list-indexed tails: ``tail(m)`` dominates
-``sum_{k >= m} (1 - |a_k|)`` where ``a_k = seq.term(k)``.  Orbit terms come
-in closed form from the step map's model chart (``orbit_terms``).
+``sum_{k >= m} (1 - |a_k|)`` where ``a_k`` is entry ``k`` of ``orbit_terms(seq,
+n)``.  Orbit terms come in closed form from the step map's model chart.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .moebius import (
     Kind,
     eval_auto,
     inverse,
-    iterate,
     model_chart,
 )
 
@@ -74,11 +73,13 @@ class ZeroSequence:
     Three kinds:
 
     * ``Explicit`` - a finite list of points of the disc.
-    * ``Orbit`` - ``term(k) = phi_{-k}(alpha)``, the backward orbit under
-      ``phi`` of the zero ``alpha`` of a seed factor ``psi``; ``term(0)`` is
+    * ``Orbit`` - ``a_k = phi_{-k}(alpha)``, the backward orbit under
+      ``phi`` of the zero ``alpha`` of a seed factor ``psi``; ``a_0`` is
       ``alpha`` itself.
-    * ``ForwardOrbit`` - ``term(k) = phi_{k+1}(0)``, the forward orbit of the
+    * ``ForwardOrbit`` - ``a_k = phi_{k+1}(0)``, the forward orbit of the
       origin; the mathematical index is ``n = k + 1``.
+
+    ``a_k`` is entry ``k`` of ``terms_up_to`` and ``orbit_terms``.
     """
 
     kind: str
@@ -124,29 +125,16 @@ class ZeroSequence:
 
     @property
     def index_offset(self) -> int:
-        """Mathematical index of ``term(0)`` (1 for forward orbits, else 0)."""
+        """Mathematical index of ``a_0`` (1 for forward orbits, else 0)."""
         return 1 if self.kind == "ForwardOrbit" else 0
 
     def start_and_step(self):
-        """Start point ``beta`` and step map ``sigma`` with ``term(k) = sigma_k(beta)``."""
+        """Start point ``beta`` and step map ``sigma`` with ``a_k = sigma_k(beta)``."""
         if self.kind == "Orbit":
             return self.psi.a, inverse(self.phi)
         if self.kind == "ForwardOrbit":
             return eval_auto(self.phi, 0.0), self.phi
         raise DomainError("explicit sequences have no orbit structure")
-
-    def term(self, k: int) -> complex:
-        k = int(k)
-        if k < 0:
-            raise DomainError("term index must be nonnegative")
-        if self.is_explicit:
-            if k >= len(self.zeros):
-                raise GeneratorExhausted(
-                    f"explicit sequence has {len(self.zeros)} terms, asked for index {k}"
-                )
-            return self.zeros[k]
-        beta, step = self.start_and_step()
-        return eval_auto(iterate(step, k), beta)
 
     def terms_up_to(self, n: int) -> list:
         """The first ``n`` terms (orbits in closed form, see ``orbit_terms``)."""
@@ -170,8 +158,8 @@ class ZeroSequence:
 class TailCertificate:
     """Certified bound ``sum_{k >= m} (1 - |a_k|) <= tail(m)``.
 
-    ``kind = 'geometric'``:       ``term_bound(k) = constant * ratio^k``.
-    ``kind = 'inverse-square'``:  ``term_bound(k) = constant /
+    ``kind = 'geometric'``:       ``1 - |a_k| <= constant * ratio^k``.
+    ``kind = 'inverse-square'``:  ``1 - |a_k| <= 1 - |a_k|^2 = constant /
     ((offset + step k)^2 + height^2)``, the exact decay shape of a parabolic
     orbit read off in its half-plane chart (``offset + i (height - 1)`` is
     the chart image of the starting point, ``step`` the translation length).
@@ -191,12 +179,6 @@ class TailCertificate:
             raise DomainError("geometric ratio must lie in [0, 1)")
         if self.kind == "inverse-square" and (self.height < 1.0 or self.step == 0.0):
             raise DomainError("inverse-square certificate needs height >= 1 and step != 0")
-
-    def term_bound(self, k: int) -> float:
-        if self.kind == "geometric":
-            return self.constant * self.ratio**k
-        u = self.offset + self.step * k
-        return self.constant / (u * u + self.height * self.height)
 
     def tail(self, m: int) -> float:
         m = int(m)
@@ -280,9 +262,10 @@ class DivergenceCertificate:
 class MergedTailCertificate:
     """Tail bound for ``d`` certified sequences interleaved factor-major.
 
-    The merged sequence is ``seq_j.term(k)`` at merged index ``k d + j``;
-    a merged index ``>= m`` forces every inner index ``>= floor(m/d)``, so
-    ``tail(m) = sum_j parts[j].tail(m // d)`` is a valid bound.
+    The merged sequence holds ``a_k`` of ``seq_j`` (entry ``k`` of
+    ``orbit_terms(seq_j, n)``) at merged index ``k d + j``; a merged index
+    ``>= m`` forces every inner index ``>= floor(m/d)``, so ``tail(m) =
+    sum_j parts[j].tail(m // d)`` is a valid bound.
     """
 
     parts: tuple

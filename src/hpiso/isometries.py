@@ -34,7 +34,6 @@ from .hardy import _circle, inner_product_values, weight_function
 from .moebius import (
     MAX_ZERO_MODULUS,
     DiscAutomorphism,
-    circle_points,
     compose,
     eval_auto,
     identity,
@@ -51,7 +50,6 @@ __all__ = [
     "evidence_rows",
     "construct_zero_intersection",
     "construct_nonzero_intersection",
-    "zero_intersection_shift_defect",
     "truncate_spec",
     "conjugated_spec",
     "invariant_subspace_check",
@@ -338,30 +336,6 @@ def construct_zero_intersection(phi: DiscAutomorphism) -> InfiniteConstruction:
     zero at ``phi(0)`` into every power of the range.
     """
     return InfiniteConstruction("BackwardOrbitProduct", phi)
-
-
-def zero_intersection_shift_defect(
-    construction: InfiniteConstruction, n: int, points=None
-) -> float:
-    """Numerical residual of ``|Psi_n(phi(z))| - |z| |Psi_{n-1}(z)|``.
-
-    Both sides vanish on the same zero sets, so the residual is pure
-    rounding; returned as a max over interior sample points.
-    """
-    if construction.kind != "BackwardOrbitProduct":
-        raise DomainError("the shift identity belongs to the backward orbit product")
-    n = int(n)
-    if n < 1:
-        raise DomainError("need at least one factor")
-    zeros = construction.own_zeros(n)
-    if points is None:
-        points = circle_points(0.6, 17) + circle_points(0.25, 9)
-    z = np.asarray(points, dtype=complex)
-    phi = construction.phi
-    w = inner_product_values([phi.a], z, phi.lam)
-    num = np.abs(inner_product_values(zeros, w))
-    den = np.abs(z) * np.abs(inner_product_values(zeros[: n - 1], z))
-    return float(np.max(np.abs(num - den), initial=0.0))
 
 
 def construct_nonzero_intersection(phi: DiscAutomorphism, count: int) -> InfiniteConstruction:

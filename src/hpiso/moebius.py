@@ -7,8 +7,8 @@ Every holomorphic automorphism of ``D = {z : |z| < 1}`` can be written
 and the pair ``(lam, a)`` is unique.  This module implements the group
 structure (closed forms for composition, inverse and iteration), the
 trace-based classification into identity / elliptic / parabolic /
-hyperbolic, canonical forms with explicit conjugators, conjugacy testing,
-and the one-parameter commutant groups.
+hyperbolic, model charts with explicit conjugators, and the one-parameter
+commutant groups.
 
 ``classify`` and ``iterate`` read the SU(1,1) representative ``[[alpha,
 beta], [conj(beta), conj(alpha)]]`` of ``phi = (alpha z + beta)/(conj(beta)
@@ -36,7 +36,6 @@ __all__ = [
     "Kind",
     "Orientation",
     "Classification",
-    "CanonicalPair",
     "Chart",
     "identity",
     "rotation",
@@ -48,12 +47,9 @@ __all__ = [
     "inverse",
     "iterate",
     "classify",
-    "canonical_pair",
     "model_chart",
     "find_conjugator",
-    "are_conjugate",
     "commutant_element",
-    "commutes",
     "boundary_points",
     "circle_points",
     "pointwise_distance",
@@ -104,8 +100,8 @@ class DiscAutomorphism(Record):
     def __call__(self, z: complex) -> complex:
         return eval_auto(self, z)
 
-    def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
-        return abs(self.lam - 1.0) <= tol and abs(self.a) <= tol
+    def is_identity(self) -> bool:
+        return abs(self.lam - 1.0) <= IDENTITY_TOL and abs(self.a) <= IDENTITY_TOL
 
     def inverse(self) -> "DiscAutomorphism":
         return inverse(self)
@@ -146,22 +142,6 @@ class Classification(Record):
         object.__setattr__(self, "fixed_points", fixed_points)
         object.__setattr__(self, "multiplier", multiplier)
         object.__setattr__(self, "orientation", orientation)
-
-
-class CanonicalPair(Record):
-    """Canonical representative ``kappa`` and conjugator ``eta``.
-
-    Satisfies ``phi = eta o kappa o eta^{-1}`` pointwise.  ``kappa`` is a
-    rotation about 0 (elliptic), one of the two standard parabolic maps
-    fixing 1 (parabolic), or ``(z - r)/(1 - r z)`` with ``0 < r < 1``
-    (hyperbolic, attracting fixed point -1).
-    """
-
-    __slots__ = ("kappa", "eta")
-
-    def __init__(self, kappa: DiscAutomorphism, eta: DiscAutomorphism):
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "eta", eta)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +452,7 @@ def classify(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Classification
 
 
 # ---------------------------------------------------------------------------
-# model charts, canonical forms and conjugacy
+# model charts and conjugacy
 
 
 def _boundary_pair_to_halfplane(w1: complex, w2: complex):
@@ -593,11 +573,7 @@ def model_chart(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Chart:
     to infinity.  Chart matrices are built here and in ``Chart.centred``
     only; ``Chart`` reads everything else off them.
     """
-    return _chart(phi, classify(phi, tol))
-
-
-def _chart(phi: DiscAutomorphism, cls: Classification) -> Chart:
-    """The chart of ``phi`` from its classification ``cls``."""
+    cls = classify(phi, tol)
     if cls.kind is Kind.IDENTITY:
         return Chart(cls.kind, None, None)
     if cls.kind is Kind.ELLIPTIC:
@@ -608,42 +584,15 @@ def _chart(phi: DiscAutomorphism, cls: Classification) -> Chart:
     return Chart(cls.kind, _cayley_at(w), _parabolic_translation_length(phi, w))
 
 
-def _same_class(c1: Chart, c2: Chart, tol: float, up_to_conjugate_multiplier: bool = False) -> bool:
-    """Equal kinds and class invariants: multipliers within ``tol``
-    (elliptic, hyperbolic) or equal orientations (parabolic)."""
+def _same_class(c1: Chart, c2: Chart, tol: float) -> bool:
+    """Equal kinds and class invariants of two non-identity charts:
+    multipliers within ``tol`` (elliptic, hyperbolic) or equal orientations
+    (parabolic)."""
     if c1.kind is not c2.kind:
         return False
-    if c1.kind is Kind.IDENTITY:
-        return True
     if c1.kind is Kind.PARABOLIC:
         return (c1.action > 0) is (c2.action > 0)
-    return abs(c1.action - c2.action) <= tol or (
-        up_to_conjugate_multiplier and abs(c1.action - c2.action.conjugate()) <= tol
-    )
-
-
-def canonical_pair(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> CanonicalPair:
-    """Canonical form ``kappa`` and conjugator ``eta`` with ``phi = eta o kappa o eta^{-1}``.
-
-    ``kappa`` is the rotation by the multiplier (elliptic), ``(z - r)/(1 -
-    r z)`` with ``r = (1 - s)/(1 + s)`` for the attracting multiplier ``s``
-    (hyperbolic), or the standard parabolic fixing 1 of the same orientation
-    (parabolic).  ``eta`` is the ``Chart.conjugator`` from the chart of
-    ``kappa``, whose fixed points are known exactly, to that of ``phi``.
-    Raises ``IdentityError`` for the identity.
-    """
-    chart = model_chart(phi, tol)
-    kind, s = chart.kind, chart.action
-    if kind is Kind.IDENTITY:
-        raise IdentityError("the identity has no canonical conjugacy representative")
-    if kind is Kind.ELLIPTIC:
-        kappa, fixed = rotation(s), (0.0 + 0.0j,)
-    elif kind is Kind.HYPERBOLIC:
-        kappa, fixed = standard_hyperbolic((1.0 - s) / (1.0 + s)), (-1.0 + 0.0j, 1.0 + 0.0j)
-    else:
-        kappa, fixed = parabolic_fixing_one(1j if s > 0 else -1j), (1.0 + 0.0j,)
-    own = _chart(kappa, Classification(kind, fixed, s))
-    return CanonicalPair(kappa, own.conjugator(chart, tol))
+    return abs(c1.action - c2.action) <= tol
 
 
 def find_conjugator(
@@ -652,31 +601,14 @@ def find_conjugator(
     """An ``eta`` with ``psi = eta o phi o eta^{-1}``, or None if none exists.
 
     Conjugacy requires equal kinds and equal class invariants within ``tol``:
-    the multiplier for elliptic (as a complex number - a rotation and its
-    conjugate rotation are NOT conjugate inside the group, see
-    ``are_conjugate``), the attracting multiplier for hyperbolic, and the
+    the multiplier for elliptic (as a complex number: only a reflection,
+    which is not in the group, carries a rotation to its conjugate
+    rotation), the attracting multiplier for hyperbolic, and the
     orientation for parabolic.  The witness is ``Chart.conjugator`` between
     the two model charts, so the residual is bounded by ~10x the invariant
     mismatch.  Identity inputs raise ``IdentityError``.
     """
     return model_chart(phi, tol).conjugator(model_chart(psi, tol), tol)
-
-
-def are_conjugate(
-    phi: DiscAutomorphism,
-    psi: DiscAutomorphism,
-    tol: float = CLASSIFY_TOL,
-    up_to_conjugate_multiplier: bool = False,
-) -> bool:
-    """Whether ``phi`` and ``psi`` lie in the same conjugacy class.
-
-    With ``up_to_conjugate_multiplier=True``, elliptic maps whose multipliers
-    are complex conjugates of each other are also accepted.  No holomorphic
-    witness exists in that widened sense (it corresponds to conjugation by a
-    reflection), which is why the flag lives on this predicate and not on
-    ``find_conjugator``.
-    """
-    return _same_class(model_chart(phi, tol), model_chart(psi, tol), tol, up_to_conjugate_multiplier)
 
 
 # ---------------------------------------------------------------------------
@@ -709,44 +641,12 @@ def circle_points(radius: float, n: int) -> list:
     return [radius * z for z in boundary_points(n)]
 
 
-_COMMUTE_POINTS: Sequence[complex] = tuple(circle_points(0.5, 12) + boundary_points(12))
+#: ``pointwise_distance``'s default sample set
+_SAMPLE_POINTS: Sequence[complex] = tuple(circle_points(0.5, 12) + boundary_points(12))
 
 
 def pointwise_distance(
-    f: DiscAutomorphism, g: DiscAutomorphism, points: Sequence[complex] = _COMMUTE_POINTS
+    f: DiscAutomorphism, g: DiscAutomorphism, points: Sequence[complex] = _SAMPLE_POINTS
 ) -> float:
     """``max |f(z) - g(z)|`` over the given evaluation points."""
     return max(abs(eval_auto(f, z) - eval_auto(g, z)) for z in points)
-
-
-def _moved(outer: DiscAutomorphism, inner: DiscAutomorphism, z: complex) -> float:
-    """First-order bound on how far ``outer(inner(z))`` moves per unit
-    relative change of the entries of both maps.  A map with zero ``a`` moves
-    by at most ``1 + 2/|1 - conj(a) z|`` at ``z`` and has derivative ``(1 -
-    |a|^2)/|1 - conj(a) w|^2`` at ``w``, which carries the move of ``inner``."""
-    w = eval_auto(inner, z)
-    bo, bi = abs(1.0 - outer.a.conjugate() * w), abs(1.0 - inner.a.conjugate() * z)
-    stretch = (1.0 - abs(outer.a)) * (1.0 + abs(outer.a)) / (bo * bo)
-    return 1.0 + 2.0 / bo + stretch * (1.0 + 2.0 / bi)
-
-
-def commutes(phi: DiscAutomorphism, sigma: DiscAutomorphism) -> bool:
-    """Whether ``phi o sigma = sigma o phi`` pointwise within rounding.
-
-    Each sample point gets its own tolerance: what moving every entry of
-    both maps by ``2^12 u`` (relative) can do to the two compositions there
-    (``_moved``), and never less than ``1e-10``.  The per-point part covers
-    the rounding of ``compose`` and ``eval_auto`` near the circle, where
-    commutant elements far out agree only to ``1e-10`` or worse.  The floor
-    covers maps built through ill-conditioned charts, whose entries carry
-    more than ``2^12 u``: commuting pairs conjugated by a zero ``1e-5`` or
-    ``1e-6`` from the circle, with multipliers near 1, differ by up to 64
-    times the per-point part.  Non-commuting pairs in a seeded sweep stayed above
-    ``6e10 u`` times it.
-    """
-    f, g = compose(phi, sigma), compose(sigma, phi)
-    return all(
-        abs(eval_auto(f, z) - eval_auto(g, z))
-        <= max(1e-10, 2.0**-41 * (_moved(phi, sigma, z) + _moved(sigma, phi, z)))
-        for z in _COMMUTE_POINTS
-    )

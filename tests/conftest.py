@@ -15,8 +15,11 @@ import pytest
 
 from hpiso import (
     DiscAutomorphism,
+    boundary_points,
+    circle_points,
     compose,
     disc_translation,
+    eval_auto,
     inverse,
     parabolic_fixing_one,
     rotation,
@@ -101,3 +104,42 @@ def random_conjugator(rng: np.random.Generator) -> DiscAutomorphism:
 
 def random_disc_translation(rng: np.random.Generator, r_max: float = 0.6) -> DiscAutomorphism:
     return disc_translation(interior_point(rng, r_max))
+
+
+# ---------------------------------------------------------------------------
+# the commutant tests' oracle
+
+_COMMUTE_POINTS = tuple(circle_points(0.5, 12) + boundary_points(12))
+
+
+def _moved(outer: DiscAutomorphism, inner: DiscAutomorphism, z: complex) -> float:
+    """First-order bound on how far ``outer(inner(z))`` moves per unit
+    relative change of the entries of both maps.  A map with zero ``a`` moves
+    by at most ``1 + 2/|1 - conj(a) z|`` at ``z`` and has derivative ``(1 -
+    |a|^2)/|1 - conj(a) w|^2`` at ``w``, which carries the move of ``inner``."""
+    w = eval_auto(inner, z)
+    bo, bi = abs(1.0 - outer.a.conjugate() * w), abs(1.0 - inner.a.conjugate() * z)
+    stretch = (1.0 - abs(outer.a)) * (1.0 + abs(outer.a)) / (bo * bo)
+    return 1.0 + 2.0 / bo + stretch * (1.0 + 2.0 / bi)
+
+
+def commutes(phi: DiscAutomorphism, sigma: DiscAutomorphism) -> bool:
+    """Whether ``phi o sigma = sigma o phi`` pointwise within rounding.
+
+    Each sample point gets its own tolerance: what moving every entry of
+    both maps by ``2^12 u`` (relative) can do to the two compositions there
+    (``_moved``), and never less than ``1e-10``.  The per-point part covers
+    the rounding of ``compose`` and ``eval_auto`` near the circle, where
+    commutant elements far out agree only to ``1e-10`` or worse.  The floor
+    covers maps built through ill-conditioned charts, whose entries carry
+    more than ``2^12 u``: commuting pairs conjugated by a zero ``1e-5`` or
+    ``1e-6`` from the circle, with multipliers near 1, differ by up to 64
+    times the per-point part.  Non-commuting pairs in a seeded sweep stayed above
+    ``6e10 u`` times it.
+    """
+    f, g = compose(phi, sigma), compose(sigma, phi)
+    return all(
+        abs(eval_auto(f, z) - eval_auto(g, z))
+        <= max(1e-10, 2.0**-41 * (_moved(phi, sigma, z) + _moved(sigma, phi, z)))
+        for z in _COMMUTE_POINTS
+    )

@@ -17,19 +17,15 @@ from hypothesis import strategies as st
 
 from hpiso import (
     AmbiguousClassification,
-    CanonicalPair,
     DiscAutomorphism,
     DomainError,
     IdentityError,
     Kind,
     Orientation,
-    are_conjugate,
     boundary_points,
-    canonical_pair,
     circle_points,
     classify,
     commutant_element,
-    commutes,
     compose,
     disc_translation,
     eval_auto,
@@ -37,6 +33,7 @@ from hpiso import (
     identity,
     inverse,
     iterate,
+    model_chart,
     parabolic_fixing_one,
     pointwise_distance,
     rotation,
@@ -44,6 +41,7 @@ from hpiso import (
 )
 
 from conftest import (
+    commutes,
     interior_point,
     phi_parabolic_plus,
     random_automorphism,
@@ -342,25 +340,26 @@ def test_elliptic_with_a_subnormal_zero():
 # canonical forms and conjugacy
 
 
-def test_canonical_pair_conjugates_to_canonical_form(rng):
+def test_model_chart_action_gives_the_canonical_form(rng):
+    # the canonical form: the rotation by the multiplier, (z - r)/(1 - r z)
+    # with r = (1 - s)/(1 + s) for the attracting multiplier s, or the
+    # standard parabolic fixing 1 of the same orientation
     for kind in KINDS:
         for _ in range(50):
             phi = random_by_kind(rng, kind)
-            pair = canonical_pair(phi)
-            assert isinstance(pair, CanonicalPair)
-            rebuilt = compose(pair.eta, compose(pair.kappa, inverse(pair.eta)))
-            assert pointwise_distance(rebuilt, phi) < 1e-8
-            k = classify(pair.kappa)
+            s = model_chart(phi).action
             if kind == "Elliptic":
-                assert pair.kappa.a == 0
+                kappa = rotation(s)
             elif kind == "Hyperbolic":
-                assert abs(pair.kappa.lam - 1.0) < 1e-12
-                assert 0.0 < pair.kappa.a.real < 1.0 and abs(pair.kappa.a.imag) < 1e-12
-                assert abs(k.fixed_points[0] + 1.0) < 1e-9
+                kappa = standard_hyperbolic((1.0 - s) / (1.0 + s))
+                assert 0.0 < kappa.a.real < 1.0
+                assert abs(classify(kappa).fixed_points[0] + 1.0) < 1e-9
             else:
-                assert min(abs(pair.kappa.lam - 1j), abs(pair.kappa.lam + 1j)) < 1e-12
-    with pytest.raises(IdentityError):
-        canonical_pair(identity())
+                kappa = parabolic_fixing_one(1j if s > 0 else -1j)
+            eta = find_conjugator(kappa, phi)
+            assert eta is not None
+            rebuilt = compose(eta, compose(kappa, inverse(eta)))
+            assert pointwise_distance(rebuilt, phi) < 1e-8
 
 
 def test_find_conjugator_on_conjugate_pairs(rng):
@@ -373,30 +372,29 @@ def test_find_conjugator_on_conjugate_pairs(rng):
             assert eta is not None
             rebuilt = compose(eta, compose(phi, inverse(eta)))
             assert pointwise_distance(rebuilt, psi) < 1e-7
-            assert are_conjugate(phi, psi)
 
 
 def test_conjugacy_negative_cases(rng):
     assert find_conjugator(random_elliptic(rng), random_hyperbolic(rng)) is None
     assert find_conjugator(standard_hyperbolic(0.3), standard_hyperbolic(0.5)) is None
-    assert not are_conjugate(parabolic_fixing_one(1j), parabolic_fixing_one(-1j))
+    assert find_conjugator(parabolic_fixing_one(1j), parabolic_fixing_one(-1j)) is None
     with pytest.raises(IdentityError):
         find_conjugator(identity(), random_elliptic(rng))
 
 
-def test_conjugate_multiplier_needs_the_flag():
+def test_conjugate_multiplier_is_not_conjugate():
+    # only a reflection carries a rotation to its conjugate rotation
     lam = cmath.exp(0.8j)
     f, g = rotation(lam), rotation(lam.conjugate())
     assert find_conjugator(f, g) is None
-    assert not are_conjugate(f, g)
-    assert are_conjugate(f, g, up_to_conjugate_multiplier=True)
+    assert find_conjugator(g, f) is None
 
 
 def test_two_parabolic_classes_cover_all_parabolics(rng):
     plus, minus = parabolic_fixing_one(1j), parabolic_fixing_one(-1j)
     for _ in range(200):
         phi = random_parabolic(rng)
-        hits = int(are_conjugate(phi, plus)) + int(are_conjugate(phi, minus))
+        hits = sum(find_conjugator(phi, model) is not None for model in (plus, minus))
         assert hits == 1
 
 

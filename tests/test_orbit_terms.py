@@ -40,6 +40,7 @@ from hpiso import (
     evidence_rows,
     identity,
     inverse,
+    iterate,
     model_chart,
     normalized_factor,
     orbit_terms,
@@ -65,7 +66,8 @@ def test_parabolic_orbit_exact_regression():
     assert np.max(np.abs(one_minus_sq * (n * n + 1.0) - 1.0)) <= 1e-14
     assert np.max(np.abs(a - n / (n - 1j))) <= 1e-14
     cert = convergence_certificate(seq)
-    bound = np.array([cert.term_bound(k) for k in range(a.size)])
+    u = cert.offset + cert.step * n
+    bound = cert.constant / (u * u + cert.height * cert.height)
     assert np.all(one_minus_sq <= bound * (1.0 + 8.0 * UNIT_ROUNDOFF))
 
 
@@ -77,10 +79,11 @@ def test_orbit_terms_agree_with_iterates(rng):
         seqs.append(ZeroSequence.forward_orbit(phi))
     for seq in seqs:
         a, gap = orbit_terms(seq, 40)
-        assert a[0] == seq.term(0)  # the start point, bit for bit
+        beta, step = seq.start_and_step()
+        assert a[0] == beta  # the start point, bit for bit
         assert seq.terms_up_to(40) == a.tolist()
-        for k in (1, 5, 12):  # term(k) composes iterates, which saturate deeper
-            assert abs(a[k] - seq.term(k)) < 1e-13
+        for k in (1, 5, 12):  # shallow only: iterate() saturates deeper
+            assert abs(a[k] - eval_auto(iterate(step, k), beta)) < 1e-13
         far = np.abs(a) < 0.99
         assert np.allclose(gap[far], 1.0 - np.abs(a[far]), rtol=0.0, atol=1e-15)
         picked = [3, 0, 39, 17]

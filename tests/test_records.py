@@ -1,7 +1,7 @@
 """The value records keep the contract of a frozen dataclass.
 
-``DiscAutomorphism``, ``Classification``, ``CanonicalPair``, ``IsometrySpec``
-and ``EquivWitness`` are compared with a frozen dataclass of the same name
+``DiscAutomorphism``, ``Classification``, ``IsometrySpec`` and
+``EquivWitness`` are compared with a frozen dataclass of the same name
 and fields built here: the same ``repr`` and hash, ``==`` only within one
 class, no assignment or deletion.  Copies and pickles must hold the very
 floats of the original: normalizing ``lam / |lam|`` again moves the last bit
@@ -20,26 +20,22 @@ import random
 import pytest
 
 from hpiso import (
-    CanonicalPair,
     Classification,
     DiscAutomorphism,
     EquivWitness,
     IsometrySpec,
     Kind,
     Orientation,
-    canonical_pair,
     classify,
     disc_translation,
     parabolic_fixing_one,
     rotation,
-    standard_hyperbolic,
 )
 
 #: field names of each record, in order
 FIELDS = {
     DiscAutomorphism: ("lam", "a"),
     Classification: ("kind", "fixed_points", "multiplier", "orientation"),
-    CanonicalPair: ("kappa", "eta"),
     IsometrySpec: ("p", "phase", "psi_zeros", "phi", "infinite"),
     EquivWitness: ("eta", "rho", "residual"),
 }
@@ -55,8 +51,6 @@ def samples() -> list:
         par,
         classify(phi),
         Classification(Kind.PARABOLIC, (1.0 + 0j,), 1.0 + 0j, Orientation.PLUS),
-        canonical_pair(standard_hyperbolic(0.5)),
-        canonical_pair(par),
         IsometrySpec(3.0, 2.0 - 1j, facs, phi),
         IsometrySpec(1.5, 1j, (), par, infinite="construction"),
         EquivWitness(phi, cmath.exp(0.3j), 2.5e-15),
