@@ -14,7 +14,8 @@ evaluates partial products with a rigorous truncation error.
 
 All tail certificates bound list-indexed tails: ``tail(m)`` dominates
 ``sum_{k >= m} (1 - |a_k|)`` where ``a_k`` is entry ``k`` of ``orbit_terms(seq,
-n)``.  Orbit terms come in closed form from the step map's model chart.
+n)``.  Orbit terms come in closed form from the step map's chart: ``phi``'s
+``model_chart`` or its ``Chart.inverse``, so one ``classify(phi)`` sets it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .moebius import (
     DiscAutomorphism,
     Kind,
     eval_auto,
-    inverse,
     model_chart,
 )
 
@@ -128,12 +128,12 @@ class ZeroSequence:
         """Mathematical index of ``a_0`` (1 for forward orbits, else 0)."""
         return 1 if self.kind == "ForwardOrbit" else 0
 
-    def start_and_step(self):
-        """Start point ``beta`` and step map ``sigma`` with ``a_k = sigma_k(beta)``."""
+    def start_and_chart(self):
+        """``beta`` and the chart of ``sigma``, ``a_k = sigma_k(beta)``, read off ``phi``'s."""
         if self.kind == "Orbit":
-            return self.psi.a, inverse(self.phi)
+            return self.psi.a, model_chart(self.phi).inverse()
         if self.kind == "ForwardOrbit":
-            return eval_auto(self.phi, 0.0), self.phi
+            return eval_auto(self.phi, 0.0), model_chart(self.phi)
         raise DomainError("explicit sequences have no orbit structure")
 
     def terms_up_to(self, n: int) -> list:
@@ -293,10 +293,10 @@ def orbit_terms(seq: ZeroSequence, n):
     in the array ``n``) as numpy arrays; explicit sequences give their zeros.
 
     Orbit terms are closed-form points ``zeta_0 lam^k``, ``zeta_0 s^k`` or
-    ``zeta_0 + k t`` of the step map's ``model_chart``, mapped back in one
-    array-wide Moebius evaluation (``a_0`` is the start point itself).  The
-    gaps come from the exact chart density, free of cancellation near the
-    circle: ``1 - |a|^2 = h(zeta) |det m| / |m_0 - m_2 zeta|^2`` with
+    ``zeta_0 + k t`` of the step map's chart (``start_and_chart``), mapped
+    back in one array-wide Moebius evaluation (``a_0`` is the start point
+    itself).  The gaps come from the exact chart density, free of cancellation
+    near the circle: ``1 - |a|^2 = h(zeta) |det m| / |m_0 - m_2 zeta|^2`` with
     ``h = 2 Im zeta`` on the half plane, ``1 - |zeta|^2`` on the disc.
     """
     if seq.is_explicit:
@@ -305,8 +305,7 @@ def orbit_terms(seq: ZeroSequence, n):
     k = np.arange(int(n)) if np.ndim(n) == 0 else np.asarray(n, dtype=np.int64)
     if (np.ndim(n) == 0 and int(n) < 0) or (k < 0).any():
         raise DomainError("term count and indices must be nonnegative")
-    beta, step = seq.start_and_step()
-    chart = model_chart(step)
+    beta, chart = seq.start_and_chart()
     kind, m, action = chart
     if kind is Kind.IDENTITY:
         return np.full(k.shape, beta, dtype=complex), np.full(k.shape, 1.0 - abs(beta))
@@ -338,8 +337,8 @@ def orbit_terms(seq: ZeroSequence, n):
 def convergence_certificate(seq: ZeroSequence):
     """A tail or divergence certificate for an orbit-generated sequence.
 
-    The orbit ``a_k = sigma_k(beta)`` is controlled in a half-plane chart of
-    the step map ``sigma``, where the exact boundary density
+    The orbit ``a_k = sigma_k(beta)`` is controlled in the chart of the step
+    map ``sigma`` (``start_and_chart``), where the exact boundary density
     ``1 - |z|^2 = 4 |Im tau| Im zeta / |zeta - tau|^2`` (``zeta`` the chart
     image of ``z``) turns the orbit into a closed-form walk:
 
@@ -355,8 +354,7 @@ def convergence_certificate(seq: ZeroSequence):
     """
     if seq.is_explicit:
         raise DomainError("certificates exist only for orbit-generated sequences")
-    beta, step = seq.start_and_step()
-    chart = model_chart(step)
+    beta, chart = seq.start_and_chart()
     kind, m, action = chart
     if kind is Kind.IDENTITY:
         return DivergenceCertificate(max(1.0 - abs(beta), 1e-300))

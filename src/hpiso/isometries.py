@@ -262,7 +262,7 @@ def decide_crownover(
     recycle their zeros along compact orbits (``DivergenceCertificate``:
     ``Crownover``), hyperbolic and parabolic symbols sweep them to the
     boundary summably (tail certificate: ``NotCrownover``).  The reason names
-    the certificate: a construction, or the symbol class its chart read.
+    the certificate: a construction, or the class of ``classify(phi)``.
     The evidence reports ``n_evidence`` terms of that multiset, also written
     to ``evidence_csv`` (a path or text file) as ``write_csv_rows`` from 1.
     Without a CSV the walk stops after ``d K`` terms (``_settled_depth``:

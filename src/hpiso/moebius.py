@@ -103,9 +103,6 @@ class DiscAutomorphism(Record):
     def is_identity(self) -> bool:
         return abs(self.lam - 1.0) <= IDENTITY_TOL and abs(self.a) <= IDENTITY_TOL
 
-    def inverse(self) -> "DiscAutomorphism":
-        return inverse(self)
-
 
 class Kind(Enum):
     IDENTITY = "Identity"
@@ -499,6 +496,17 @@ class Chart(NamedTuple):
     def apply(self, z: complex) -> complex:
         """The chart image of ``z``."""
         return _mat_apply(self.m, z)
+
+    def inverse(self) -> "Chart":
+        """The chart of ``phi^{-1}``, with no second classification: the inverse
+        rotation or translation on the same ``m``, or for hyperbolic maps the
+        same multiplier on ``m`` followed by ``zeta -> -1/zeta`` (``m2 = 1``)."""
+        kind, m, action = self
+        if kind is Kind.HYPERBOLIC:
+            return self._replace(m=(-m[2] / m[0], -m[3] / m[0], 1.0, m[1] / m[0]))
+        if kind is Kind.IDENTITY:
+            return self
+        return self._replace(action=action.conjugate() if kind is Kind.ELLIPTIC else -action)
 
     def commutant(self, t: float) -> DiscAutomorphism:
         """The commutant element at parameter ``t``: the model map at ``t``

@@ -30,8 +30,9 @@ SEED = 20260814
 
 
 #: maps in the parabolic trace band that ``classify`` reads as one class and
-#: their inverses (the step map of every orbit certificate) as another:
-#: elliptic then parabolic, and parabolic then elliptic
+#: their inverses as another: elliptic then parabolic, and parabolic then
+#: elliptic.  Orbit certificates chart the inverse through ``classify(phi)``,
+#: so they follow the first class.
 NEAR_BAND_PINNED = (
     DiscAutomorphism(-0.9999999999967364 - 2.554833659191588e-06j, -0.21716731414965437 + 0.9761343952875513j),
     DiscAutomorphism(-0.9999999999988511 - 1.515832220698568e-06j, 0.31940929405164203 + 0.9476168544685437j),

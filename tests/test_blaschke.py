@@ -33,6 +33,7 @@ from hpiso import (
     identity,
     inverse,
     iterate,
+    model_chart,
     normalized_factor,
     orbit_terms,
     rotation,
@@ -100,13 +101,17 @@ def test_orbit_sequence_agrees_with_direct_iteration(rng):
         phi = random_hyperbolic(rng)
         psi = normalized_factor(interior_point(rng, 0.6))
         seq = ZeroSequence.orbit(psi, phi)
-        beta, step = seq.start_and_step()
+        beta, chart = seq.start_and_chart()
+        assert chart == model_chart(phi).inverse()
         walked = seq.terms_up_to(12)
         assert walked[0] == beta == psi.a
         for k in (0, 1, 5, 11):
             direct = eval_auto(iterate(phi, -k), psi.a)
             assert abs(walked[k] - direct) < NOISE
-            assert abs(eval_auto(iterate(step, k), beta) - direct) < 1e-15
+            # the step chart's model map is phi^{-1}: k dilations reach direct
+            zeta = chart.action**k * chart.apply(beta)
+            m = chart.m
+            assert abs((m[3] * zeta - m[1]) / (m[0] - m[2] * zeta) - direct) < 1e-15
 
 
 def test_forward_orbit_indexing(rng):

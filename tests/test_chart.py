@@ -1,4 +1,5 @@
 """Model charts: ``Chart.apply`` conjugates each symbol to its model map,
+``Chart.inverse`` gives the chart of the inverse map with the same class,
 ``Chart.parameter`` inverts the commutant's model action, and conjugators
 built from two charts conjugate."""
 
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from hpiso import (
     DiscAutomorphism,
     Kind,
+    classify,
     compose,
     eval_auto,
     find_conjugator,
+    identity,
     inverse,
     model_chart,
     parabolic_fixing_one,
@@ -23,6 +26,8 @@ from hpiso import (
     rotation,
     standard_hyperbolic,
 )
+
+from conftest import interior_point, random_by_kind
 
 
 def disc_points(r_max):
@@ -79,6 +84,25 @@ def test_chart_conjugates_the_symbol_to_its_model_action(phi, z):
     zeta = chart.apply(z)
     want = zeta + action if kind is Kind.PARABOLIC else action * zeta
     assert abs(chart.apply(eval_auto(phi, z)) - want) <= 1e-10 * (1.0 + abs(want)) ** 2
+
+
+def test_inverse_chart_conjugates_the_inverse_map(rng):
+    for kind in ("Elliptic", "Hyperbolic", "Parabolic"):
+        for _ in range(50):
+            phi = random_by_kind(rng, kind)
+            chart = model_chart(phi).inverse()
+            assert chart.kind is classify(phi).kind
+            if chart.kind is Kind.HYPERBOLIC:
+                assert chart.m[2] == 1.0
+            for _ in range(8):
+                z = interior_point(rng, 0.9)
+                zeta = chart.apply(z)
+                want = zeta + chart.action if kind == "Parabolic" else chart.action * zeta
+                assert abs(chart.apply(eval_auto(inverse(phi), z)) - want) <= 1e-12 * abs(want)
+                if chart.kind is Kind.HYPERBOLIC:
+                    assert zeta.imag > 0.0
+    unit = model_chart(identity())
+    assert unit.inverse() is unit
 
 
 @settings(max_examples=150, deadline=None)

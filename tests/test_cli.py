@@ -324,11 +324,16 @@ def test_exit_3_ambiguous_classification():
     assert code == 3 and out == ""
     assert_error_line(err, "AmbiguousClassification")
     # inside the trace band but certified: crownover answers from the orbit
-    # certificate (it used to exit 1 with a traceback)
+    # certificate (it used to exit 1 with a traceback), whose class is the
+    # one classify prints
     band = IsometrySpec(3.0, 1.0, (normalized_factor(0.3),), NEAR_BAND_PINNED[0])
+    code, out, err = run_cli("classify", "--phi", ser.dumps(ser.automorphism_to_json(band.phi)))
+    assert code == 0 and json.loads(out)["kind"] == "Elliptic"
     code, out, err = run_cli("crownover", "--spec", spec_json(band))
     assert code == 0 and err == ""
-    ser.validate("crownover_verdict", json.loads(out))
+    payload = json.loads(out)
+    ser.validate("crownover_verdict", payload)
+    assert (payload["verdict"], payload["reason"]) == ("Crownover", "EllipticOrIdentitySymbol")
 
 
 def test_exit_4_domain_error():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from hpiso import (
+    AmbiguousClassification,
     CrownoverVerdict,
     DivergenceCertificate,
     DomainError,
@@ -25,12 +26,14 @@ from hpiso import (
     IdentityAmbiguity,
     InfiniteConstruction,
     IsometrySpec,
+    Kind,
     MergedTailCertificate,
     NotCertified,
     WrongClass,
     ZeroCodimension,
     ZeroSequence,
     circle_points,
+    classify,
     codimension,
     compose,
     conjugated_spec,
@@ -211,22 +214,47 @@ def certified_reason(cert, constructed: bool) -> str:
     return "HyperbolicSymbol" if kind == "geometric" else "ParabolicSymbol"
 
 
+#: the ``decide_crownover`` reason of a finite spec, by ``classify(phi)``'s kind
+CLASS_REASON = {
+    Kind.IDENTITY: "EllipticOrIdentitySymbol",
+    Kind.ELLIPTIC: "EllipticOrIdentitySymbol",
+    Kind.HYPERBOLIC: "HyperbolicSymbol",
+    Kind.PARABOLIC: "ParabolicSymbol",
+}
+
+
 def test_near_band_symbols_answer_by_their_certificate(rng):
-    # classify(phi) and the certificate's chart of phi^-1 can disagree in the
-    # band; every answer must follow the certificate, and nothing outside
+    # inside the band every answer follows the certificate, whose chart is
+    # the one classify(phi) reads: finite specs give the reason of that
+    # class, or raise AmbiguousClassification with it, and both constructions
+    # pass or fail their class gate as that class says; nothing outside
     # HpisoError may escape
     ctx, g = HpContext(3.0, 64), lambda w: np.ones_like(w)
     symbols = [*NEAR_BAND_PINNED, *near_band_symbols(rng, 400)]
     answered = 0
     for i, phi in enumerate(symbols):
+        try:  # the reason a finite spec must give, and the constructions' gate
+            kind = classify(phi).kind
+            implied = CLASS_REASON[kind]
+            gate = WrongClass if kind in (Kind.IDENTITY, Kind.ELLIPTIC) else None
+        except AmbiguousClassification:
+            implied, gate = None, AmbiguousClassification
         zeros = tuple(normalized_factor(interior_point(rng, 0.9)) for _ in range(2))
         specs = [IsometrySpec(3.0, 1.0, zeros[:d], phi) for d in (1, 2)]
         for build in (construct_zero_intersection, lambda f: construct_nonzero_intersection(f, 3)):
             try:
                 specs.append(IsometrySpec(3.0, 1.0, (), phi, infinite=build(phi)))
-            except HpisoError:
-                pass
+                stopped = None
+            except (AmbiguousClassification, WrongClass) as exc:
+                stopped = type(exc)
+            except HpisoError:  # past the class gate, e.g. the thinning index cap
+                stopped = None
+            assert stopped is gate
         for spec in specs:
+            if implied is None and spec.infinite is None:
+                with pytest.raises(AmbiguousClassification):
+                    decide_crownover(spec, 64)
+                continue
             try:
                 v = decide_crownover(spec, 64)
             except HpisoError:
@@ -236,6 +264,7 @@ def test_near_band_symbols_answer_by_their_certificate(rng):
             cert = v.evidence.certificate
             assert v.verdict == ("Crownover" if isinstance(cert, DivergenceCertificate) else "NotCrownover")
             assert v.reason == certified_reason(cert, spec.infinite is not None)
+            assert spec.infinite is not None or v.reason == implied
         try:
             invariant_subspace_check(specs[0], g, ctx, n_trunc=8)
         except NotCertified:

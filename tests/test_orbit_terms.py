@@ -79,7 +79,9 @@ def test_orbit_terms_agree_with_iterates(rng):
         seqs.append(ZeroSequence.forward_orbit(phi))
     for seq in seqs:
         a, gap = orbit_terms(seq, 40)
-        beta, step = seq.start_and_step()
+        beta, chart = seq.start_and_chart()
+        assert chart.kind is model_chart(seq.phi).kind
+        step = seq.phi if seq.kind == "ForwardOrbit" else inverse(seq.phi)
         assert a[0] == beta  # the start point, bit for bit
         assert seq.terms_up_to(40) == a.tolist()
         for k in (1, 5, 12):  # shallow only: iterate() saturates deeper
@@ -309,8 +311,8 @@ def model_orbit_50_digits(mp, seq: ZeroSequence, ks):
     The chart matrix, the model action and the start point are the float
     values the generator reads; everything after that runs at 50 digits.
     """
-    beta, step = seq.start_and_step()
-    kind, m, action = model_chart(step)
+    beta, chart = seq.start_and_chart()
+    kind, m, action = chart
     m = [mp.mpc(x) for x in m]
     b = mp.mpc(beta)
     zeta0 = (m[0] * b + m[1]) / (m[2] * b + m[3])
