@@ -165,12 +165,14 @@ def _cmd_commutant(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .hardy import HpContext, verify_isometry
-    from .isometries import truncate_spec
 
     grid = _count(args.grid, MAX_GRID, "verify --grid")
     truncate = _count(args.truncate, MAX_GRID, "verify --truncate")
     spec = ser.spec_from_json(_load_json(args.spec))
     if spec.infinite is not None:
+        # a finite spec needs neither isometries nor the blaschke it loads
+        from .isometries import truncate_spec
+
         spec = truncate_spec(spec, truncate)
     ctx = HpContext(spec.p, grid)
     report = verify_isometry(spec, ctx, seed=args.seed, degree=args.degree)

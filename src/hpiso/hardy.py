@@ -60,15 +60,21 @@ _BLOCK = 16
 #: terms per pass of ``_exact_sum``; its scratch is a few arrays of this
 #: length and two exponent-bucket accumulators, about 0.3 MB in all
 _SUM_CHUNK = 8192
+#: grid points per block of ``U f`` in ``apply_isometry`` and
+#: ``verify_isometry``: a block's scratch is a few complex arrays of this
+#: length, about 1 MB in all, whatever the grid size
+_GRID_BLOCK = 8192
 #: ``_exact_sum`` sums its 26/27-bit halves in float64, exactly below 2^53
 _SUM_MAX_TERMS = 2**26
 #: ``np.frexp`` exponents of finite doubles lie in [-1073, 1024]
 _SUM_BUCKETS = 1074 + 1024 + 1
 
 
-def _circle(n: int, radius: float = 1.0) -> np.ndarray:
-    """The ``n`` points ``radius * exp(2 pi i k / n)``, ``k = 0..n-1``."""
-    z = 2j * np.pi * np.arange(n)
+def _circle(n: int, radius: float = 1.0, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """The points ``radius * exp(2 pi i k / n)`` for ``k`` in ``start..stop-1``
+    (``stop`` defaults to ``n``).  Each point is computed on its own, so a
+    slice of the grid has the bits of the whole grid's points."""
+    z = 2j * np.pi * np.arange(start, n if stop is None else stop)
     z /= n
     np.exp(z, out=z)
     if radius != 1.0:
@@ -76,8 +82,10 @@ def _circle(n: int, radius: float = 1.0) -> np.ndarray:
     return z
 
 
-def _exact_sum(x) -> float:
-    """``math.fsum(x)`` bit for bit, for a float array: a small superaccumulator.
+def _exact_sum(chunks) -> float:
+    """``math.fsum`` bit for bit, for a float array or for a zero-argument
+    callable that returns an iterable of nonempty 1-d float arrays (their
+    terms in order, one array per pass): a small superaccumulator.
 
     Each term ``m 2^e`` (``np.frexp``) splits into a 27-bit integer high half
     and a 26-bit low half of its 53-bit significand; ``np.bincount`` sums each
@@ -86,16 +94,21 @@ def _exact_sum(x) -> float:
     true division rounds that exact sum once, to nearest even, as ``fsum``
     does.  Input with a negative, infinite or nan term, with ``2^26`` terms
     or more, or that sums to zero (whose sign ``fsum`` decides) goes to
-    ``fsum`` itself, as does a sum that overflows.  (Neal, "Fast exact
+    ``fsum`` itself, as does a sum that overflows; the callable is then
+    called again, so no chunk needs to outlive its pass.  (Neal, "Fast exact
     summation using small and large superaccumulators", arXiv:1505.05571.)
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if not (0 < x.size < _SUM_MAX_TERMS and x.min() >= 0.0 and x.max() < math.inf):
-        return math.fsum(x.tolist())
+    if not callable(chunks):
+        x = np.asarray(chunks, dtype=float).ravel()
+        return _exact_sum(lambda: _slices(x))
     high = np.zeros(_SUM_BUCKETS)
     low = np.zeros(_SUM_BUCKETS)
-    for start in range(0, x.size, _SUM_CHUNK):
-        m, e = np.frexp(x[start : start + _SUM_CHUNK])
+    count = 0
+    for chunk in chunks():
+        count += chunk.size
+        if not (count < _SUM_MAX_TERMS and chunk.min() >= 0.0 and chunk.max() < math.inf):
+            return _fsum(chunks)
+        m, e = np.frexp(chunk)
         m *= 2.0**27  # from [1/2, 1) to [2^26, 2^27): the integer part is the high half
         top = np.floor(m)
         m -= top  # exact: the low half, as a multiple of 2^-26
@@ -107,11 +120,21 @@ def _exact_sum(x) -> float:
     for k in np.flatnonzero(high + low).tolist():
         total += ((int(high[k]) << 26) + int(low[k])) << k
     if total == 0:
-        return math.fsum(x.tolist())
+        return _fsum(chunks)
     try:  # the term m 2^e sits in bucket e + 1074 with m scaled by 2^53
         return total / (1 << (1074 + 53))
     except OverflowError:
-        return math.fsum(x.tolist())
+        return _fsum(chunks)
+
+
+def _slices(x):
+    """``x`` in consecutive slices of ``_SUM_CHUNK`` entries."""
+    return (x[k : k + _SUM_CHUNK] for k in range(0, x.size, _SUM_CHUNK))
+
+
+def _fsum(chunks) -> float:
+    """``math.fsum`` over the terms of the arrays ``chunks()`` yields, in order."""
+    return math.fsum(t for chunk in chunks() for t in chunk.tolist())
 
 
 def _grid_size(n) -> int:
@@ -286,9 +309,22 @@ def hp_norm(f, ctx: HpContext) -> float:
             raise GridMismatch(
                 f"sample array of length {samples.size} does not match grid {ctx.grid_size}"
             )
-    powers = np.abs(samples)
-    powers **= ctx.p
-    return float((_exact_sum(powers) / ctx.grid_size) ** (1.0 / ctx.p))
+    return _norm(lambda: _slices(samples), ctx)
+
+
+def _norm(pieces, ctx: HpContext) -> float:
+    """``(mean |x|^p)^(1/p)`` over the ``grid_size`` samples ``x`` of the
+    complex arrays that ``pieces()`` yields; one piece's powers live at a
+    time."""
+    p = ctx.p
+
+    def powers():
+        for piece in pieces():
+            x = np.abs(piece)
+            x **= p
+            yield x
+
+    return float((_exact_sum(powers) / ctx.grid_size) ** (1.0 / p))
 
 
 def _one_minus_abs2(a: complex) -> float:
@@ -343,8 +379,19 @@ def apply_isometry(spec: IsometrySpec, f: BoundaryFunction, ctx: HpContext) -> n
 
     ``U f = phase * Psi * (conj(lam) phi')^(1/p) * (f o phi)``; requires a
     finite spec (truncate infinite constructions first) and matching ``p``
-    and grid sizes.
+    and grid sizes.  The grid is computed in blocks of ``_GRID_BLOCK``
+    points, each block's last product written into its slice of the output,
+    so the working set is the output plus one block's scratch.
     """
+    _check_applicable(spec, f, ctx)
+    out = np.empty(ctx.grid_size, dtype=complex)
+    for _ in _isometry_blocks(spec, f, ctx.grid_size, out):
+        pass
+    return out
+
+
+def _check_applicable(spec: IsometrySpec, f: BoundaryFunction, ctx: HpContext) -> None:
+    """Raise unless ``spec`` is finite and agrees with ``ctx`` and ``f``."""
     if spec.infinite is not None:
         raise DomainError(
             "spec carries an infinite construction; truncate_spec(...) it first"
@@ -355,17 +402,28 @@ def apply_isometry(spec: IsometrySpec, f: BoundaryFunction, ctx: HpContext) -> n
         raise GridMismatch(
             f"function grid {f.grid_size} differs from context grid {ctx.grid_size}"
         )
-    zeta = ctx.grid
+
+
+def _isometry_blocks(spec: IsometrySpec, f: BoundaryFunction, n: int, out=None):
+    """Yield ``U f`` on consecutive slices of at most ``_GRID_BLOCK`` points
+    of the ``n``-point grid; with ``out``, each block is written into (and
+    yielded as) its slice of ``out``.
+
+    Every operation is elementwise, so a block has the bits of the same
+    points of a whole-grid evaluation.
+    """
     phi = spec.phi
-    # every factor is multiplied into the kernel's output, and zeta is freed
-    # before f(w): at most seven grid-sized arrays live at once
-    out = spec.inner_values(zeta)
-    out *= spec.phase
-    w = inner_product_values([phi.a], zeta, phi.lam)
-    out *= weight_function(phi, spec.p, zeta)
-    del zeta
-    out *= f(w)
-    return out
+    for start in range(0, n, _GRID_BLOCK):
+        stop = min(n, start + _GRID_BLOCK)
+        zeta = _circle(n, start=start, stop=stop)
+        # every factor is multiplied into the kernel's output, and zeta is
+        # freed before f(w): at most seven block-sized arrays live at once
+        u = spec.inner_values(zeta)
+        u *= spec.phase
+        w = inner_product_values([phi.a], zeta, phi.lam)
+        u *= weight_function(phi, spec.p, zeta)
+        del zeta
+        yield np.multiply(u, f(w), out=None if out is None else out[start:stop])
 
 
 def rho_closed_form(phi: DiscAutomorphism, psi: DiscAutomorphism, p: float) -> complex:
@@ -462,11 +520,11 @@ def verify_isometry(
             raise DegreeError(f"degree {degree} too high for grid {ctx.grid_size}; need degree < N/4")
         rng = np.random.default_rng(seed)
         f = BoundaryFunction(random_polynomial(rng, degree), ctx.grid_size)
-    out = apply_isometry(spec, f, ctx)
+    _check_applicable(spec, f, ctx)
     norm_in = hp_norm(f, ctx)
-    norm_out = hp_norm(out, ctx)
     if norm_in == 0.0:
         raise DomainError("test function is identically zero")
+    norm_out = _norm(lambda: _isometry_blocks(spec, f, ctx.grid_size), ctx)
     return {
         "norm_in": norm_in,
         "norm_out": norm_out,

@@ -45,7 +45,7 @@ from hpiso import (
     weight_function,
 )
 
-from hpiso.hardy import _SUM_CHUNK, _circle, _exact_sum
+from hpiso.hardy import _GRID_BLOCK, _SUM_CHUNK, _circle, _exact_sum
 from hpiso.moebius import MAX_ZERO_MODULUS
 
 from conftest import interior_point, random_automorphism, unimodular
@@ -248,6 +248,40 @@ def test_exact_sum_defers_to_fsum_off_its_domain():
         _exact_sum(np.array([inf, -inf]))
     with pytest.raises(OverflowError):  # fsum's "intermediate overflow"
         _exact_sum(np.array([1.7e308, 1.7e308]))
+
+
+def _outcome(compute):
+    """``compute()``'s float as hex, ``"nan"``, or the type of what it raised."""
+    try:
+        x = compute()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(x) else x.hex()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.lists(st.floats(0.0, 1.7e308), min_size=1, max_size=9), min_size=2, max_size=5),
+    st.sampled_from((None, math.inf, -math.inf, math.nan, -1.0, -5e-324, -0.0, 1.7e308)),
+    st.booleans(),
+)
+def test_exact_sum_of_chunks_equals_fsum(chunks, late, zero):
+    # a callable hands the terms over one chunk per pass; a term off the
+    # superaccumulator's domain only in the last chunk, and sums of zeros
+    # of either sign, go back to fsum, which calls it again
+    if zero:
+        chunks = [[-0.0 if t > 1.0 else 0.0 for t in chunk] for chunk in chunks]
+    if late is not None:
+        chunks[-1].append(late)
+    calls = []
+
+    def passes():
+        calls.append(None)
+        return (np.array(chunk) for chunk in chunks)
+
+    terms = [t for chunk in chunks for t in chunk]
+    assert _outcome(lambda: _exact_sum(passes)) == _outcome(lambda: math.fsum(terms))
+    assert len(calls) in (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +621,46 @@ def test_verify_isometry_reproducible(rng):
         verify_isometry(spec, ctx, f=BoundaryFunction([0.0], 512))
 
 
+def _whole_grid_isometry(spec, f, ctx):
+    """``U f`` on the whole grid at once, by the formula of ``apply_isometry``."""
+    zeta = _circle(ctx.grid_size)
+    out = spec.inner_values(zeta)
+    out *= spec.phase
+    w = inner_product_values([spec.phi.a], zeta, spec.phi.lam)
+    out *= weight_function(spec.phi, spec.p, zeta)
+    out *= f(w)
+    return out
+
+
+def _whole_grid_norm(samples, p):
+    powers = np.abs(samples)
+    powers **= p
+    return (math.fsum(powers.tolist()) / samples.size) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("n", (64, _GRID_BLOCK, 2 * _GRID_BLOCK, 2**17))
+@pytest.mark.parametrize("count", (0, 1, 3, 17))
+@pytest.mark.parametrize("p", (1.0, 1.5, 3.0))
+def test_blocks_have_the_whole_grid_bits(n, count, p):
+    rng = np.random.default_rng(n + 31 * count + int(4 * p))
+    phi = random_automorphism(rng)
+    factors = tuple(normalized_factor(interior_point(rng, 0.9)) for _ in range(count))
+    spec = IsometrySpec(p, unimodular(rng), factors, phi)
+    ctx = make_ctx(p, n)
+    f = random_f(rng, min(24, n // 4 - 1), n)
+    want = _whole_grid_isometry(spec, f, ctx)
+    assert apply_isometry(spec, f, ctx).tobytes() == want.tobytes()
+    norm_in, norm_out = _whole_grid_norm(f.samples, p), _whole_grid_norm(want, p)
+    want_report = {"norm_in": norm_in, "norm_out": norm_out, "rel_defect": abs(norm_out - norm_in) / norm_in, "N": n}
+    # nonnegative floats (no -0.0, no nan) compare equal exactly when their bits agree
+    assert verify_isometry(spec, ctx, f=f) == want_report
+
+
 @pytest.mark.parametrize("count", (0, 1, 3, 17))
 def test_verify_isometry_peak_memory(count):
-    # at most seven grid-sized complex arrays live at once: the test
-    # function's samples, the grid, the output and the kernel's scratch
+    # the output is never built: the peak is the test function's two FFT
+    # arrays (padded coefficients and samples), or its samples and one
+    # block of U f with the kernel's and the sum's scratch
     n = 2**16
     phi = DiscAutomorphism(cmath.exp(0.4j), 0.3 - 0.5j)
     factors = tuple(normalized_factor((0.2 + 0.04 * k) * cmath.exp(1.3j * k)) for k in range(count))
@@ -604,4 +674,4 @@ def test_verify_isometry_peak_memory(count):
     finally:
         tracemalloc.stop()
     assert report["rel_defect"] <= 1e-12
-    assert peak <= 7 * 16 * n
+    assert peak <= 2 * 16 * n + 4 * 16 * _GRID_BLOCK

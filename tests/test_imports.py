@@ -113,6 +113,20 @@ def test_equiv_runs_without_numpy():
     assert got["loaded"] == NONE_LOADED
 
 
+def test_finite_spec_verify_loads_neither_isometries_nor_blaschke():
+    # only an infinite construction needs truncate_spec and the orbit walks
+    finite = as_json(spec_of(0.3, 0.2j, phi=standard_hyperbolic(0.5)))
+    code = (
+        "import contextlib, io, json, sys\nimport hpiso.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = hpiso.cli.main(['verify', '--spec', {finite!r}])\n"
+        "loaded = {m: m in sys.modules for m in ('hpiso.hardy', 'hpiso.isometries', 'hpiso.blaschke')}\n"
+        "print(json.dumps({'code': code, 'loaded': loaded}))"
+    )
+    got = run_python(code)
+    assert got == {"code": 0, "loaded": {"hpiso.hardy": True, "hpiso.isometries": False, "hpiso.blaschke": False}}
+
+
 def test_finite_spec_round_trip_loads_no_numpy():
     code = (
         "import json, sys\nfrom hpiso import serialize as ser\n"
