@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0, help="seed for the random test polynomial")
     sub.add_argument("--degree", type=int, default=None, help="test polynomial degree")
     sub.add_argument("--truncate", type=int, default=128,
-                     help="truncation level applied to infinite constructions")
+                     help="zero factors kept of an infinite construction; zeros past the "
+                     "1 - 1e-14 cap are left out")
     _json_out(sub)
     sub.set_defaults(func=_cmd_verify)
 
@@ -290,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--phi", required=True)
     sub.add_argument("--kind", choices=("zero", "nonzero"), required=True,
                      help="zero: trivial range intersection; nonzero: thinned product")
-    sub.add_argument("--count", type=int, default=4, help="thinned indices to materialize")
+    sub.add_argument("--count", type=int, default=4, help="thinned zeros to store; exit 4 "
+                     "names the first zero past the 1 - 1e-14 cap if it comes sooner")
     _json_out(sub)
     sub.set_defaults(func=_cmd_construct)
 

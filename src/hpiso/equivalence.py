@@ -21,7 +21,7 @@ from typing import Optional
 from ._record import Record
 from .errors import DomainError, IdentityAmbiguity
 from .moebius import (
-    MAX_ZERO_MODULUS, Chart, DiscAutomorphism, circle_points, compose, eval_auto, identity, inverse,
+    Chart, DiscAutomorphism, circle_points, compose, eval_auto, identity, inverse,
     model_chart, pointwise_distance,
 )
 from .spec import IsometrySpec
@@ -165,26 +165,6 @@ def _invariant_gap(s1: IsometrySpec, s2: IsometrySpec, tol: float):
     return gap, band * (1.0 + 64 * u)
 
 
-def _witness_clears_cap(s1: IsometrySpec, s2: IsometrySpec, tol: float) -> bool:
-    """True when every witness ``eta`` keeps its zero ``c`` at least ``1e-13``
-    (ten times the cap's ``1e-14``) from the circle.
-
-    ``eta^{-1}`` sends 0 to ``c`` and each zero ``a`` of ``Psi_1`` within
-    ``10 tol + 32u/(1 - |a|)`` of a zero ``b`` of ``Psi_2`` (``_invariant_gap``)
-    and keeps hyperbolic distances, so ``atanh|c| <= atanh|a| + atanh|b'|``:
-    ``1 - |c| >= (1 - |a|)(1 - |b'|)/(1 + |a||b'|)``, here for the smallest
-    ``|a|`` against the largest ``|b|`` and the reverse.  A candidate that is
-    not representable has its zero within about ``1e-14`` of the circle (the
-    chart product is accurate to about ``1e-15`` there), so it is no witness.
-    """
-    a, b = (sorted(abs(f.a) for f in s.psi_zeros) for s in (s1, s2))
-    for x, y in ((a[0], b[-1]), (a[-1], b[0])):
-        r = y + 10.0 * tol + 32 * 2.0**-53 / (1.0 - x)
-        if r < 1.0 and (1.0 - x) * (1.0 - r) / (1.0 + x * r) > 10.0 * (1.0 - MAX_ZERO_MODULUS):
-            return True
-    return False
-
-
 def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, tol: float):
     """The first witness among the conjugators ``eta_0 o gamma_t`` from the
     map of chart ``c2`` to that of ``c1`` (``Chart.conjugator``), or None.
@@ -193,34 +173,40 @@ def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, 
     matching one pair in ``c2`` pins ``t``: ``gamma_t`` must carry the chart
     image of a zero of ``Psi_2`` to that of a zero of ``Psi_1`` moved by
     ``eta_0^{-1}``.  ``t = 0`` comes first, then the pairs in order,
-    skipping parameters within 1e-12 of an earlier one.  Candidates that are
-    not representable are skipped; their ``DomainError`` is raised when no
-    witness turns up and ``_witness_clears_cap`` cannot rule them out.
+    skipping parameters within 1e-12 of an earlier one.  A candidate past the
+    cap (``eta_0`` too) is held by no ``DiscAutomorphism`` and is no witness;
+    the zeros it moves come from its matrix (``Chart.pull_back``), and its
+    ``DomainError`` is raised only if they match and no witness turns up.
     """
-    eta0 = c2.conjugator(c1, tol)
-    if eta0 is None:
-        return None
-    eta0_inv = inverse(eta0)
-    u = [c2.apply(eval_auto(eta0_inv, fac.a)) for fac in s1.psi_zeros]
-    v = [c2.apply(fac.a) for fac in s2.psi_zeros]
+    z1, z2 = ([fac.a for fac in s.psi_zeros] for s in (s1, s2))
+    try:
+        eta0 = c2.conjugator(c1, tol)
+        if eta0 is None:
+            return None
+        eta0_inv = inverse(eta0)
+        u = [c2.apply(eval_auto(eta0_inv, a)) for a in z1]
+    except DomainError:
+        u = [c2.apply(w) for w in c2.pull_back(c1, 0.0, z1)]
+    v = [c2.apply(b) for b in z2]
     ts = [0.0]
     for ui in u:
         for vj in v:
             t = c2.parameter(ui, vj)
             if t is not None and all(abs(t - s) > 1e-12 for s in ts):
                 ts.append(t)
-    skipped = None
+    unheld = None
     for t in ts:
         try:
             eta = c2.conjugator(c1, tol, t)
         except DomainError as exc:
-            skipped = skipped or exc
+            if unheld is None and _multiset_match(c2.pull_back(c1, t, z1), z2, 10.0 * tol) is not None:
+                unheld = exc
             continue
         w = _witness_from_eta(s1, s2, eta, tol)
         if w is not None:
             return w
-    if skipped is not None and not _witness_clears_cap(s1, s2, tol):
-        raise skipped
+    if unheld is not None:
+        raise unheld
     return None
 
 

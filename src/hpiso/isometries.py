@@ -55,17 +55,15 @@ __all__ = [
     "invariant_subspace_check",
 ]
 
-#: largest orbit index the greedy thinning search will visit
-MAX_THINNING_INDEX = 10**6
-
-
 def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] = None):
-    """First ``count`` indices of the greedy thinning rule, and the budget.
+    """Indices, budget and zeros of the greedy thinning rule, up to ``count`` zeros.
 
     The base orbit is ``a_n = phi_{-n}(0)``; index ``n_k`` is the smallest
     admissible index whose certified tail ``sum_{n >= n_k} (1 - |a_n|)``
-    falls below ``budget / 2^k``.  Deterministic given ``(phi, budget)``, so
-    a stored prefix can be extended consistently.
+    falls below ``budget / 2^k``.  The rule stops before its first zero past
+    the cap ``MAX_ZERO_MODULUS``: once the target is below the cap's gap,
+    ``1 - |a_{n_k}| <= tail(n_k - 1)`` puts every later zero past it.
+    Deterministic given ``(phi, budget)``, so a stored prefix extends.
     """
     base = ZeroSequence.orbit(normalized_factor(eval_auto(inverse(phi), 0.0)), phi)
     cert = convergence_certificate(base)
@@ -73,28 +71,19 @@ def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] 
         raise WrongClass("the thinned construction needs a hyperbolic or parabolic symbol")
     if budget is None:
         budget = math.fsum(orbit_terms(base, 64)[1].tolist()) + cert.tail(64)
-    indices = []
-    n = 2
-    cap_tail = cert.tail(MAX_THINNING_INDEX - 1)
+    indices, n = [], 2
     for k in range(1, count + 1):
-        target = math.ldexp(budget, -k)  # 2.0**k overflows once k >= 1024
-        if target == 0.0:
-            raise NotCertified(
-                f"greedy thinning target budget/2^k left the float range at k = {k} "
-                "(it underflows to 0); request fewer thinned indices"
-            )
+        target = math.ldexp(budget, -k)
+        if target < 1.0 - MAX_ZERO_MODULUS:
+            break
         if cert.tail(n - 1) >= target:
             # the next index is the first n with tail(n - 1) < target
-            if cap_tail >= target:
-                raise NotCertified(
-                    "greedy thinning passed index 10^6 before meeting its "
-                    "target; the indices grow geometrically, so request fewer "
-                    "of them (or pass a larger budget)"
-                )
             n = cert.first_index_below(target) + 1
         indices.append(n)
         n += 1
-    return tuple(indices), float(budget)
+    zeros = orbit_terms(_zero_orbit("ThinnedForwardProduct", phi), indices)[0].tolist()
+    kept = next((i for i, a in enumerate(zeros) if not abs(a) <= MAX_ZERO_MODULUS), len(zeros))
+    return tuple(indices[:kept]), float(budget), zeros[:kept]
 
 
 def _zero_orbit(kind: str, phi: DiscAutomorphism) -> ZeroSequence:
@@ -145,17 +134,16 @@ class InfiniteConstruction(Record):
         Record.__init__(self, kind, phi, indices, float(budget))
 
     def own_zeros(self, m: int) -> list:
-        """The first ``m`` zeros of the inner factor ``Psi`` itself."""
+        """The first ``m`` zeros of ``Psi`` itself; a thinned product stops at the cap."""
         m = int(m)
         if m < 0:
             raise DomainError("zero count must be nonnegative")
         orbit = _zero_orbit(self.kind, self.phi)
         if self.kind == "BackwardOrbitProduct":
             return orbit.terms_up_to(m)
-        idx = self.indices
-        if m > len(idx):
-            idx, _ = _thinned_indices(self.phi, m, self.budget)
-        return orbit_terms(orbit, idx[:m])[0].tolist()
+        if m > len(self.indices):
+            return _thinned_indices(self.phi, m, self.budget)[2]
+        return orbit_terms(orbit, self.indices[:m])[0].tolist()
 
     def accumulated_sequences(self) -> tuple:
         """Orbit sequences generating the zero multiset over all powers.
@@ -194,10 +182,11 @@ def codimension(spec: IsometrySpec):
 
 
 def _accumulated_sequences(spec: IsometrySpec) -> tuple:
+    """The construction's sequences, if any, then the backward orbits of the
+    finite factors."""
+    seqs = tuple(ZeroSequence.orbit(fac, spec.phi) for fac in spec.psi_zeros)
     if spec.infinite is not None:
-        seqs = spec.infinite.accumulated_sequences()
-    else:
-        seqs = tuple(ZeroSequence.orbit(fac, spec.phi) for fac in spec.psi_zeros)
+        seqs = spec.infinite.accumulated_sequences() + seqs
     if not seqs:
         raise ZeroCodimension(
             "the isometry is surjective; the range chain is constant and the "
@@ -278,7 +267,7 @@ def decide_crownover(
         partial = write_csv_rows(evidence_csv, zeros, gaps, 1)
 
     if isinstance(certs[0], DivergenceCertificate):
-        delta = min(c.delta for c in certs)
+        delta = min(c.delta for c in certs if isinstance(c, DivergenceCertificate))
         if con is None:
             reason = "EllipticOrIdentitySymbol"
             text = (
@@ -307,9 +296,11 @@ def decide_crownover(
     else:
         reason = "ConstructedConvergent"
         k_stored = len(con.indices)
-        total = merged.tail(0) + con.budget / 2.0**k_stored
+        rest = con.budget / 2.0**k_stored
+        own = MergedTailCertificate(tuple(certs[:k_stored])).tail(0) + rest
+        part = f", of which the construction's {own:.6g}" if spec.psi_zeros else ""
         text = (
-            f"certified double sum over all powers: {total:.6g} < budget "
+            f"certified double sum over all powers: {merged.tail(0) + rest:.6g}{part} < budget "
             f"{con.budget:.6g} (stored prefix of {k_stored} indices plus the "
             f"geometric bound budget/2^{k_stored} for the rest of the rule)"
         )
@@ -341,12 +332,18 @@ def construct_nonzero_intersection(phi: DiscAutomorphism, count: int) -> Infinit
     ``k``-th certified orbit tail smaller than ``R / 2^k`` where ``R``
     bounds the full orbit sum, so the zero multiset accumulated over all
     operator powers is certified summable below ``R`` and the limit product
-    is a nonzero common element of all ranges.
+    is a nonzero common element of all ranges.  ``NotCertified`` names the
+    first zero past the cap ``1 - 1e-14`` when it comes before zero ``count``.
     """
     count = int(count)
     if count < 1:
         raise DomainError("count must be at least 1")
-    indices, budget = _thinned_indices(phi, count)
+    indices, budget, _ = _thinned_indices(phi, count)
+    if len(indices) < count:
+        raise NotCertified(
+            f"thinned zero {len(indices) + 1} has |a| > 1 - 1e-14, past the cap; "
+            f"request at most {len(indices)}"
+        )
     return InfiniteConstruction("ThinnedForwardProduct", phi, indices, budget)
 
 

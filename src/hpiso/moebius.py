@@ -561,6 +561,15 @@ class Chart(NamedTuple):
             raise IdentityError("conjugators of the identity are not meaningful here")
         if not _same_class(self, other, tol):
             return None
+        return _disc_from_matrix(self._conjugator_matrix(other, t))
+
+    def pull_back(self, other: "Chart", t: float, points) -> list:
+        """``conjugator(other, t=t)`` inverted on ``points``, by its matrix: defined past the cap too."""
+        m = _mat_inv(self._conjugator_matrix(other, t))
+        return [_mat_apply(m, z) for z in points]
+
+    def _conjugator_matrix(self, other: "Chart", t: float) -> tuple:
+        """``m_psi^{-1} D g_t m_phi`` of ``conjugator``, for charts of one class."""
         if self.kind is Kind.ELLIPTIC:
             model = (cmath.exp(1j * t), 0j, 0j, 1 + 0j)
         elif self.kind is Kind.HYPERBOLIC:
@@ -568,7 +577,7 @@ class Chart(NamedTuple):
         else:
             k = other.action / self.action
             model = (complex(k), complex(k * t), 0j, 1 + 0j)
-        return _disc_from_matrix(_mat_mul(_mat_inv(other.m), _mat_mul(model, self.m)))
+        return _mat_mul(_mat_inv(other.m), _mat_mul(model, self.m))
 
 
 def model_chart(phi: DiscAutomorphism, tol: float = CLASSIFY_TOL) -> Chart:

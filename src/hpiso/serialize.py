@@ -33,6 +33,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING
 
+from .errors import DomainError
 from .moebius import Classification, DiscAutomorphism
 
 if TYPE_CHECKING:
@@ -314,16 +315,20 @@ def construction_from_json(obj) -> InfiniteConstruction:
 
 
 def _construction(obj) -> InfiniteConstruction:
-    # unchecked, like ``_automorphism``: spec.json's ``construction``
-    # definition is the body of construction.json
-    from .isometries import InfiniteConstruction
+    # unchecked, like ``_automorphism`` (spec.json's ``construction`` is this body), but
+    # a thinned prefix must be the greedy rule's own: every certificate assumes so
+    from .isometries import InfiniteConstruction, _thinned_indices
 
-    return InfiniteConstruction(
-        obj["kind"],
-        _automorphism(obj["phi"]),
-        tuple(obj["indices"]),
-        float(obj["budget"]),
+    con = InfiniteConstruction(
+        obj["kind"], _automorphism(obj["phi"]), tuple(obj["indices"]), float(obj["budget"])
     )
+    if con.kind == "ThinnedForwardProduct":
+        rule = _thinned_indices(con.phi, len(con.indices), con.budget)[0]
+        if rule != con.indices:
+            k = next((k for k, (n, m) in enumerate(zip(con.indices, rule)) if n != m), len(rule))
+            want = rule[k] if k < len(rule) else "no index: its zero lies past the cap"
+            raise DomainError(f"stored thinned index {k + 1} is {con.indices[k]}; the rule gives {want}")
+    return con
 
 
 def spec_to_json(spec: IsometrySpec) -> dict:

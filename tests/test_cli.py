@@ -272,10 +272,46 @@ def test_verify_thinned_truncation_limits():
     text = json.dumps(spec_obj)
     code, out, _ = run_cli("verify", "--spec", text, "--grid", "256", "--truncate", "3")
     assert code == 0 and json.loads(out)["rel_defect"] <= 1e-6
-    # the thinned indices grow geometrically: a deep truncation is refused
-    code, _, err = run_cli("verify", "--spec", text, "--grid", "256", "--truncate", "64")
-    assert code == 4
+    # a deep truncation keeps the 22 zeros inside the cap (the indices grow
+    # geometrically, and zero 23 lies past it)
+    code, out, _ = run_cli("verify", "--spec", text, "--grid", "256", "--truncate", "64")
+    assert code == 0 and json.loads(out)["rel_defect"] <= 1e-6
+
+
+def test_constructions_that_build_answer_crownover_and_verify():
+    con27 = (
+        '{"budget":0.8081265345617236,"indices":[3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,'
+        '19,20,21,22,23,24,25,26,27,28,29],"kind":"ThinnedForwardProduct",'
+        '"phi":{"a":{"im":0.0,"re":0.5},"lambda":{"im":0.0,"re":1.0}}}'
+    )
+    code, out, _ = run_cli("construct", "--phi", PSI_HALF, "--kind", "nonzero", "--count", "27")
+    assert code == 0 and out == con27 + "\n"
+    code, out, err = run_cli("construct", "--phi", PSI_HALF, "--kind", "nonzero", "--count", "28")
+    assert code == 4 and out == ""
     assert_error_line(err, "NotCertified")
+    assert "thinned zero 28 " in json.loads(err)["message"]
+    for phi, con in ((PSI_HALF, con27), (PHI_I, None)):
+        if con is None:  # its zeros stay inside the cap up to zero 22
+            code, con, _ = run_cli("construct", "--phi", phi, "--kind", "nonzero")
+            assert code == 0
+        spec = json.dumps({"p": 3.0, "phase": {"re": 1.0, "im": 0.0}, "psi_zeros": [],
+                           "phi": json.loads(phi), "infinite": json.loads(con)})
+        code, out, _ = run_cli("crownover", "--spec", spec)
+        assert code == 0 and json.loads(out)["reason"] == "ConstructedConvergent"
+        code, out, _ = run_cli("verify", "--spec", spec)
+        assert code == 0 and json.loads(out)["N"] == 512
+
+
+def test_stored_thinned_prefix_must_be_the_rules():
+    # indices [2, 3] under budget 0.5 are not what the greedy rule gives, and
+    # crownover used to certify "1.37405 < budget 0.5" on them
+    con = construct_nonzero_intersection(parabolic_fixing_one(1j), 2)
+    obj = json.loads(spec_json(IsometrySpec(3.0, 1.0, (), con.phi, infinite=con)))
+    obj["infinite"].update(indices=[2, 3], budget=0.5)
+    code, out, err = run_cli("crownover", "--spec", json.dumps(obj))
+    assert code == 4 and out == ""
+    assert_error_line(err, "DomainError")
+    assert "stored thinned index 1 is 2" in json.loads(err)["message"]
 
 
 def test_crownover_rejects_a_non_finite_budget():

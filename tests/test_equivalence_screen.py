@@ -163,11 +163,10 @@ def test_screen_keeps_every_verdict_and_witness(data):
             decide_equivalent(s1, s2)
         return
     except DomainError as exc:
-        # a candidate that is not representable and that no bound rules out
-        # (zeros near the circle on both sides): the same error, unless the
-        # screen certifies that no witness exists
+        # a candidate that is not representable and whose matrix matches the
+        # zeros: the same error, unless the screen certifies that no witness
+        # exists
         gap, band = eq._invariant_gap(s1, s2, 1e-9)
-        assert not eq._witness_clears_cap(s1, s2, 1e-9)
         if gap > band:
             assert decide_equivalent(s1, s2) is None
         else:
@@ -261,29 +260,72 @@ def test_inequivalent_d8_pair_builds_no_candidate(monkeypatch):
     assert calls["conjugator"] >= 1 and calls["witness"] >= 1
 
 
+def count_pull_backs(monkeypatch):
+    """The parameters ``t`` of the candidates judged by their chart matrix
+    (``Chart.pull_back``)."""
+    calls = []
+    pull_back = Chart.pull_back
+
+    def counted(self, other, t, points):
+        calls.append(t)
+        return pull_back(self, other, t, points)
+
+    monkeypatch.setattr(Chart, "pull_back", counted)
+    return calls
+
+
 @pytest.mark.parametrize("c", [1j, -1j])
 @pytest.mark.parametrize("shift", [0.0, 0.1, 0.1j, -0.3])
-def test_unrepresentable_candidates_are_skipped(c, shift):
+def test_unrepresentable_candidates_are_skipped(c, shift, monkeypatch):
     # a zero at the centre and one 1e-9 from the fixed point 1 pin commutant
-    # parameters whose candidates pass the 1e-14 cap; the zeros at 0 keep
-    # every witness's zero 1e-9 from the circle, so the answer is None
+    # parameters whose candidates pass the 1e-14 cap; the points their
+    # matrices move match no zero set, so the answer is None
     phi = parabolic_fixing_one(c)
     zeros = [0.0, 0.0, 1.0 - 1e-9, 1.0 - 1e-9]
     s1 = spec(zeros, phi)
     s2 = conjugated_spec(spec(zeros[:-1] + [zeros[-1] + 1e-7j], phi), disc_translation(shift), 1.0)
-    assert eq._witness_clears_cap(s1, s2, 1e-9) and eq._witness_clears_cap(s2, s1, 1e-9)
+    judged = count_pull_backs(monkeypatch)
     assert decide_equivalent(s1, s2) is None
     assert decide_equivalent(s2, s1) is None
+    assert judged
 
 
-def test_unrepresentable_candidate_still_raises_when_a_witness_could_reach_the_cap():
-    # every zero is 1e-9 from the circle, so a witness's zero could be too;
-    # the candidate pinned by the zero 1e-7 (in angle) from the fixed point
-    # is not representable, and the search cannot rule it out
+def test_unrepresentable_candidate_that_matches_no_zeros_answers_none(monkeypatch):
+    # every zero is 1e-9 from the circle; the candidate pinned by the zero
+    # 1e-7 (in angle) from the fixed point is not representable, and the
+    # zeros its matrix moves match nothing
     phi = parabolic_fixing_one(1j)
     r = 1.0 - 1e-9
     s1 = spec([r * cmath.exp(1e-7j), r * cmath.exp(1j)], phi)
     s2 = spec([r * cmath.exp(0.5j), r * cmath.exp(2j)], phi)
-    assert not eq._witness_clears_cap(s1, s2, 1e-9)
+    judged = count_pull_backs(monkeypatch)
+    assert decide_equivalent(s1, s2) is None
+    assert judged
+
+
+def test_unrepresentable_candidate_that_matches_raises():
+    # the only witness is the translation along (-1, 1) by c = 1 - 5e-15, a
+    # commutant element of phi whose zero -c lies past the cap; it moves the
+    # zeros near -1 onto the given zeros 3e-14 to 1e-13 from the circle
+    phi = standard_hyperbolic(0.5)
+    c = 1.0 - 5e-15
+    near = [-0.9, -0.8 + 0.1j, -0.95 - 0.05j]
+    far = [(w + c) / (1.0 + c * w) for w in near]
+    assert max(map(abs, far)) <= MAX_ZERO_MODULUS
     with pytest.raises(DomainError, match="zero must lie strictly inside the disc"):
-        decide_equivalent(s1, s2)
+        decide_equivalent(spec(near, phi), spec(far, phi))
+
+
+def test_unrepresentable_first_conjugator_raises_only_if_it_matches(monkeypatch):
+    # the centred charts of zeros 1e-9 from the circle give an eta_0 (t = 0)
+    # past the cap; it matches nothing, so no DomainError escapes, whatever the
+    # anchored search then concludes about this rotation-conjugate pair
+    r = 1.0 - 1e-9
+    s1 = spec([r, r * cmath.exp(1j), r * cmath.exp(2.5j)], identity())
+    s2 = conjugated_spec(s1, rotation(cmath.exp(0.3j)), 1.0)
+    judged = count_pull_backs(monkeypatch)
+    try:
+        assert decide_equivalent(s1, s2) is not None
+    except IdentityAmbiguity:
+        pass
+    assert 0.0 in judged

@@ -60,6 +60,7 @@ from hpiso import (
     truncate_spec,
 )
 from hpiso.hardy import BoundaryFunction
+from hpiso.moebius import MAX_ZERO_MODULUS
 
 from conftest import (
     NEAR_BAND_PINNED,
@@ -247,7 +248,7 @@ def test_near_band_symbols_answer_by_their_certificate(rng):
                 stopped = None
             except (AmbiguousClassification, WrongClass) as exc:
                 stopped = type(exc)
-            except HpisoError:  # past the class gate, e.g. the thinning index cap
+            except NotCertified:  # past the class gate: a thinned zero past the cap
                 stopped = None
             assert stopped is gate
         for spec in specs:
@@ -257,8 +258,8 @@ def test_near_band_symbols_answer_by_their_certificate(rng):
                 continue
             try:
                 v = decide_crownover(spec, 64)
-            except HpisoError:
-                assert i >= len(NEAR_BAND_PINNED) or spec.infinite is not None
+            except HpisoError:  # every construction that builds answers
+                assert i >= len(NEAR_BAND_PINNED) and spec.infinite is None
                 continue
             answered += 1
             cert = v.evidence.certificate
@@ -358,20 +359,33 @@ def test_thinned_product_budget_certified(rng):
         assert brute <= merged.tail(0) + 1e-10
 
 
-def test_thinned_deep_truncation_not_certified():
-    con = construct_nonzero_intersection(phi_parabolic_plus(), 3)
-    with pytest.raises(NotCertified, match="thinning"):
-        con.own_zeros(64)
+def test_thinned_deep_truncation_keeps_the_representable_prefix():
+    # the rule extends a stored prefix up to its last zero inside the cap
+    phi = phi_parabolic_plus()
+    con = construct_nonzero_intersection(phi, 3)
+    deep = con.own_zeros(64)
+    assert len(deep) == 22 and deep[:3] == con.own_zeros(3)
+    assert max(map(abs, deep)) <= MAX_ZERO_MODULUS
+    assert construct_nonzero_intersection(phi, 22).own_zeros(22) == deep
+    with pytest.raises(NotCertified, match="thinned zero 23 "):
+        construct_nonzero_intersection(phi, 23)
+    spec = IsometrySpec(3.0, 1.0, (), phi, infinite=con)
+    assert [f.a for f in truncate_spec(spec, 64).psi_zeros] == deep
 
 
-def test_thinned_target_underflow_not_certified():
-    # a contracting symbol's indices grow by one per halving of the budget, so
-    # the halvings run out of floats long before the index cap: 2.0**k is not
-    # a float from k = 1024 on, and budget / 2^k reaches 0 by k = 1075
+def test_thinned_construction_stops_at_the_cap():
+    # a contracting symbol's zeros pass the cap after a few dozen indices, long
+    # before budget / 2^k leaves the float range
     phi = standard_hyperbolic(0.5)
-    assert len(construct_nonzero_intersection(phi, 1024).indices) == 1024
-    with pytest.raises(NotCertified, match="float range"):
-        construct_nonzero_intersection(phi, 2000)
+    con = construct_nonzero_intersection(phi, 27)
+    assert con.indices == tuple(range(3, 30)) and con.budget == 0.8081265345617236
+    assert max(map(abs, con.own_zeros(27))) <= MAX_ZERO_MODULUS
+    for count in (28, 2000):
+        with pytest.raises(NotCertified, match=r"thinned zero 28 has \|a\| > 1 - 1e-14"):
+            construct_nonzero_intersection(phi, count)
+    assert con.own_zeros(2000) == con.own_zeros(27)
+    v = decide_crownover(IsometrySpec(3.0, 1.0, (), phi, infinite=con))
+    assert v.verdict == "NotCrownover" and v.reason == "ConstructedConvergent"
 
 
 def test_backward_orbit_accumulated_sequence_is_recurring_zero(rng):
@@ -394,6 +408,23 @@ def test_thinned_spec_verdict(rng):
     assert v.verdict == "NotCrownover" and v.reason == "ConstructedConvergent"
     assert v.evidence.verdict == "Blaschke"
     assert "budget" in v.evidence.reason
+
+
+def test_mixed_spec_accumulates_its_finite_factors():
+    # the finite factor at 0.9 alone has a backward orbit summing to about 1.58;
+    # only the construction's own part sits under its budget
+    phi = phi_parabolic_plus()
+    con = construct_nonzero_intersection(phi, 2)
+    fac = normalized_factor(0.9)
+    v = decide_crownover(IsometrySpec(3.0, 1.0, (fac,), phi, infinite=con))
+    assert v.verdict == "NotCrownover" and v.reason == "ConstructedConvergent"
+    assert "of which the construction's 0.536092 < budget 0.596866" in v.evidence.reason
+    total = float(v.evidence.reason.split("all powers: ")[1].split(",")[0])
+    seqs = con.accumulated_sequences() + (ZeroSequence.orbit(fac, phi),)
+    assert total >= math.fsum(math.fsum(orbit_terms(s, 100_000)[1].tolist()) for s in seqs)
+    # a fresh zero per power still decides a backward orbit product
+    v = decide_crownover(IsometrySpec(3.0, 1.0, (fac,), phi, infinite=construct_zero_intersection(phi)))
+    assert v.verdict == "Crownover" and v.reason == "ConstructedDivergent"
 
 
 def test_shift_identity_defect(rng):

@@ -34,6 +34,7 @@ from hpiso import (
     DomainError,
     EquivWitness,
     IsometrySpec,
+    NotCertified,
     ZeroSequence,
     classify,
     construct_nonzero_intersection,
@@ -123,6 +124,27 @@ def test_construction_round_trip():
         assert got.budget == pytest.approx(con.budget)
     with pytest.raises(jsonschema.ValidationError):
         ser.construction_from_json({"kind": "SomethingElse", "phi": ser.automorphism_to_json(identity())})
+
+
+def test_thinned_prefix_reads_back_only_as_the_rule_gives_it(rng):
+    # library constructions read back equal; a prefix the greedy rule does not
+    # give, or that reaches past the cap, is refused at the first difference
+    for kind in ("Hyperbolic", "Parabolic") * 10:
+        phi = random_by_kind(rng, kind)
+        for count in (1, 4, 16):
+            try:
+                con = construct_nonzero_intersection(phi, count)
+            except NotCertified:
+                continue
+            got = ser.construction_from_json(ser.construction_to_json(con))
+            assert (got.indices, got.budget) == (con.indices, con.budget)  # lam may move an ulp
+    obj = ser.construction_to_json(construct_nonzero_intersection(standard_hyperbolic(0.5), 27))
+    obj["indices"] += [30, 31, 32]
+    with pytest.raises(DomainError, match="index 28 is 30; the rule gives no index: its zero lies past"):
+        ser.construction_from_json(obj)
+    obj["indices"] = [3, 5]
+    with pytest.raises(DomainError, match="stored thinned index 2 is 5; the rule gives 4$"):
+        ser.construction_from_json(obj)
 
 
 def test_spec_round_trip_fuzz(rng):
