@@ -56,21 +56,21 @@ def _augment(i, level, dist, owner, seen) -> bool:
     return False
 
 
-def _multiset_match(left, right, cap: float):
+def _multiset_match(left, right, cap: float, dist=None):
     """Bottleneck distance of two equal-length point multisets, or None.
 
     Returns ``min over bijections of max pair distance`` when that is at
     most ``cap``, else None.  The optimum is one of the pair distances
-    ``abs(left[i] - right[j])``, so the distinct distances up to ``cap``
-    are binary-searched for the smallest one whose threshold graph has a
-    perfect matching, tested by augmenting paths (bottleneck assignment;
-    Burkard, Dell'Amico & Martello, *Assignment Problems*, 2009).  The
-    result is that float distance itself, exact for every size.
+    ``dist[i][j]`` (default ``abs(left[i] - right[j])``), so the distinct
+    distances up to ``cap`` are binary-searched for the smallest one whose
+    threshold graph has a perfect matching, tested by augmenting paths
+    (bottleneck assignment; Burkard et al., *Assignment Problems*, 2009).
+    The result is that float distance itself, exact for every size.
     """
     n = len(left)
     if n == 0:
         return 0.0
-    dist = [[abs(x - y) for y in right] for x in left]
+    dist = dist if dist is not None else [[abs(x - y) for y in right] for x in left]
     levels = sorted({e for row in dist for e in row if e <= cap})
     lo, hi = 0, len(levels)  # first feasible index in [lo, hi]; len(levels): none
     while lo < hi:
@@ -174,9 +174,9 @@ def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, 
     image of a zero of ``Psi_2`` to that of a zero of ``Psi_1`` moved by
     ``eta_0^{-1}``.  ``t = 0`` comes first, then the pairs in order,
     skipping parameters within 1e-12 of an earlier one.  A candidate past the
-    cap (``eta_0`` too) is held by no ``DiscAutomorphism`` and is no witness;
-    the zeros it moves come from its matrix (``Chart.pull_back``), and its
-    ``DomainError`` is raised only if they match and no witness turns up.
+    cap (``eta_0`` too) is no witness; its ``DomainError`` is raised only if
+    none turns up and its matrix (``Chart.moves``) carries each zero pair
+    within ``10 tol`` one way or the other (its rounding grows at either end).
     """
     z1, z2 = ([fac.a for fac in s.psi_zeros] for s in (s1, s2))
     try:
@@ -186,7 +186,7 @@ def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, 
         eta0_inv = inverse(eta0)
         u = [c2.apply(eval_auto(eta0_inv, a)) for a in z1]
     except DomainError:
-        u = [c2.apply(w) for w in c2.pull_back(c1, 0.0, z1)]
+        u = [c2.apply(w) for w in c2.moves(c1, 0.0, z1, ())[0]]
     v = [c2.apply(b) for b in z2]
     ts = [0.0]
     for ui in u:
@@ -199,7 +199,9 @@ def _commutant_search(s1: IsometrySpec, s2: IsometrySpec, c1: Chart, c2: Chart, 
         try:
             eta = c2.conjugator(c1, tol, t)
         except DomainError as exc:
-            if unheld is None and _multiset_match(c2.pull_back(c1, t, z1), z2, 10.0 * tol) is not None:
+            back, forth = c2.moves(c1, t, z1, z2)
+            dist = [[min(abs(x - b), abs(a - y)) for b, y in zip(z2, forth)] for a, x in zip(z1, back)]
+            if unheld is None and _multiset_match(z1, z2, 10.0 * tol, dist) is not None:
                 unheld = exc
             continue
         w = _witness_from_eta(s1, s2, eta, tol)
@@ -236,10 +238,9 @@ def decide_equivalent(
     the search decides, so the screen never changes a verdict or a witness.
     Identity symbols are not screened: their failed searches raise
     ``IdentityAmbiguity``, and answering None there would change that
-    documented outcome.  For identity
-    symbols a witness sends some zero of ``Psi_2`` to the first zero of
-    ``Psi_1``; each such anchor leaves the rotations about it, the
-    commutant of the chart ``Chart.centred`` there.
+    documented outcome.  For identity symbols a witness sends some zero of
+    ``Psi_2`` to the first zero of ``Psi_1``; each such anchor leaves the
+    rotations about it, the commutant of the chart ``Chart.centred`` there.
     """
     tol = float(tol)
     if not 1e-14 <= tol <= 1e-4:

@@ -73,7 +73,7 @@ def _thinned_indices(phi: DiscAutomorphism, count: int, budget: Optional[float] 
         budget = math.fsum(orbit_terms(base, 64)[1].tolist()) + cert.tail(64)
     indices, n = [], 2
     for k in range(1, count + 1):
-        target = math.ldexp(budget, -k)
+        target = math.ldexp(budget, -k)  # 2.0**k overflows once k >= 1024
         if target < 1.0 - MAX_ZERO_MODULUS:
             break
         if cert.tail(n - 1) >= target:
@@ -138,12 +138,11 @@ class InfiniteConstruction(Record):
         m = int(m)
         if m < 0:
             raise DomainError("zero count must be nonnegative")
-        orbit = _zero_orbit(self.kind, self.phi)
         if self.kind == "BackwardOrbitProduct":
-            return orbit.terms_up_to(m)
+            return _zero_orbit(self.kind, self.phi).terms_up_to(m)
         if m > len(self.indices):
             return _thinned_indices(self.phi, m, self.budget)[2]
-        return orbit_terms(orbit, self.indices[:m])[0].tolist()
+        return orbit_terms(_zero_orbit(self.kind, self.phi), self.indices[:m])[0].tolist()
 
     def accumulated_sequences(self) -> tuple:
         """Orbit sequences generating the zero multiset over all powers.
@@ -296,7 +295,7 @@ def decide_crownover(
     else:
         reason = "ConstructedConvergent"
         k_stored = len(con.indices)
-        rest = con.budget / 2.0**k_stored
+        rest = math.ldexp(con.budget, -k_stored)  # 2.0**k overflows once k >= 1024
         own = MergedTailCertificate(tuple(certs[:k_stored])).tail(0) + rest
         part = f", of which the construction's {own:.6g}" if spec.psi_zeros else ""
         text = (

@@ -563,10 +563,10 @@ class Chart(NamedTuple):
             return None
         return _disc_from_matrix(self._conjugator_matrix(other, t))
 
-    def pull_back(self, other: "Chart", t: float, points) -> list:
-        """``conjugator(other, t=t)`` inverted on ``points``, by its matrix: defined past the cap too."""
-        m = _mat_inv(self._conjugator_matrix(other, t))
-        return [_mat_apply(m, z) for z in points]
+    def moves(self, other: "Chart", t: float, back, forth) -> tuple:
+        """``conjugator(other, t=t)`` by its matrix, past the cap too: its inverse on ``back``, itself on ``forth``."""
+        m = self._conjugator_matrix(other, t)
+        return [_mat_apply(_mat_inv(m), z) for z in back], [_mat_apply(m, z) for z in forth]
 
     def _conjugator_matrix(self, other: "Chart", t: float) -> tuple:
         """``m_psi^{-1} D g_t m_phi`` of ``conjugator``, for charts of one class."""

@@ -260,17 +260,17 @@ def test_inequivalent_d8_pair_builds_no_candidate(monkeypatch):
     assert calls["conjugator"] >= 1 and calls["witness"] >= 1
 
 
-def count_pull_backs(monkeypatch):
+def count_matrix_moves(monkeypatch):
     """The parameters ``t`` of the candidates judged by their chart matrix
-    (``Chart.pull_back``)."""
+    (``Chart.moves``)."""
     calls = []
-    pull_back = Chart.pull_back
+    moves = Chart.moves
 
-    def counted(self, other, t, points):
+    def counted(self, other, t, back, forth):
         calls.append(t)
-        return pull_back(self, other, t, points)
+        return moves(self, other, t, back, forth)
 
-    monkeypatch.setattr(Chart, "pull_back", counted)
+    monkeypatch.setattr(Chart, "moves", counted)
     return calls
 
 
@@ -284,7 +284,7 @@ def test_unrepresentable_candidates_are_skipped(c, shift, monkeypatch):
     zeros = [0.0, 0.0, 1.0 - 1e-9, 1.0 - 1e-9]
     s1 = spec(zeros, phi)
     s2 = conjugated_spec(spec(zeros[:-1] + [zeros[-1] + 1e-7j], phi), disc_translation(shift), 1.0)
-    judged = count_pull_backs(monkeypatch)
+    judged = count_matrix_moves(monkeypatch)
     assert decide_equivalent(s1, s2) is None
     assert decide_equivalent(s2, s1) is None
     assert judged
@@ -298,22 +298,26 @@ def test_unrepresentable_candidate_that_matches_no_zeros_answers_none(monkeypatc
     r = 1.0 - 1e-9
     s1 = spec([r * cmath.exp(1e-7j), r * cmath.exp(1j)], phi)
     s2 = spec([r * cmath.exp(0.5j), r * cmath.exp(2j)], phi)
-    judged = count_pull_backs(monkeypatch)
+    judged = count_matrix_moves(monkeypatch)
     assert decide_equivalent(s1, s2) is None
     assert judged
 
 
-def test_unrepresentable_candidate_that_matches_raises():
-    # the only witness is the translation along (-1, 1) by c = 1 - 5e-15, a
+@pytest.mark.parametrize("near", [[-0.9, -0.8 + 0.1j, -0.95 - 0.05j], [-1.0 + 1e-12, -0.5 + 0.3j]])
+def test_unrepresentable_candidate_that_matches_raises(near):
+    # the only witness is the translation along (-1, 1) by c = 1 - 8e-15, a
     # commutant element of phi whose zero -c lies past the cap; it moves the
-    # zeros near -1 onto the given zeros 3e-14 to 1e-13 from the circle
+    # zeros near -1 onto the given zeros, some 1e-13 from the circle.  Its
+    # matrix moves a zero near 1 back with an error up to about 1e-3, and the
+    # zero 1e-12 from -1 forward with one of about 4e-7, so both orders raise
+    # only if each pair is judged in its better direction
     phi = standard_hyperbolic(0.5)
-    c = 1.0 - 5e-15
-    near = [-0.9, -0.8 + 0.1j, -0.95 - 0.05j]
+    c = 1.0 - 8e-15
     far = [(w + c) / (1.0 + c * w) for w in near]
     assert max(map(abs, far)) <= MAX_ZERO_MODULUS
-    with pytest.raises(DomainError, match="zero must lie strictly inside the disc"):
-        decide_equivalent(spec(near, phi), spec(far, phi))
+    for s1, s2 in ((near, far), (far, near)):
+        with pytest.raises(DomainError, match="zero must lie strictly inside the disc"):
+            decide_equivalent(spec(s1, phi), spec(s2, phi))
 
 
 def test_unrepresentable_first_conjugator_raises_only_if_it_matches(monkeypatch):
@@ -323,7 +327,7 @@ def test_unrepresentable_first_conjugator_raises_only_if_it_matches(monkeypatch)
     r = 1.0 - 1e-9
     s1 = spec([r, r * cmath.exp(1j), r * cmath.exp(2.5j)], identity())
     s2 = conjugated_spec(s1, rotation(cmath.exp(0.3j)), 1.0)
-    judged = count_pull_backs(monkeypatch)
+    judged = count_matrix_moves(monkeypatch)
     try:
         assert decide_equivalent(s1, s2) is not None
     except IdentityAmbiguity:

@@ -5,9 +5,9 @@ is taken over the ``repr`` of every result, or the error's type and message,
 and for the CLI over each request's stdout, stderr and exit code, so two
 checkouts that print the same digests for a bucket gave the same bytes there.
 
-    PYTHONPATH=src python3 tools/parity_corpus.py [--seed N]
+    PYTHONPATH=src python3 tools/parity_corpus.py
 
-The inputs are drawn from ``numpy.random.default_rng(seed)`` and do not
+The inputs are drawn from ``numpy.random.default_rng(SEED)`` and do not
 depend on the package, so the same command run in two checkouts (say, a
 change and its parent) compares them bucket by bucket.  Orbit terms of
 hyperbolic symbols go through numpy's ``power``, whose last bits depend on
@@ -16,22 +16,20 @@ the CPU, so digests are comparable only between runs on one machine.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import hashlib
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import hpiso as hp
+from hpiso import cli
+from hpiso import serialize as ser
 
-import hpiso as hp  # noqa: E402
-from hpiso import cli  # noqa: E402
-from hpiso import serialize as ser  # noqa: E402
-
+#: seed of the drawn inputs
+SEED = 0
 CLASSES = ("Hyperbolic", "Parabolic", "Elliptic", "Identity")
 #: both constructions gate on the class; they answer only for these two
 ORBIT_CLASSES = ("Hyperbolic", "Parabolic")
@@ -166,11 +164,8 @@ def requests(rng, kind: str, add) -> None:
             add("cli equiv", run_cli("equiv", "--s1", spec_arg(near), "--s2", spec_arg(s2)))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="seed of the drawn inputs")
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
+def main() -> int:
+    rng = np.random.default_rng(SEED)
     buckets = {}
     for part in (library, equivalence, requests):
         for kind in CLASSES:
